@@ -1,5 +1,6 @@
 #include "kv/hash_ring.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/rng.h"
@@ -23,15 +24,31 @@ void HashRing::rebuild() {
   // ascending) insertion order as construction: point collisions resolve
   // identically, so a ring grown to the full provisioned set is
   // byte-for-byte the classic fixed-membership ring. Collisions are
-  // harmless (last writer wins on one point of many).
+  // harmless (last writer wins on one point of many); the stable sort keeps
+  // colliding points in insertion order so the dedup below can keep the
+  // last writer.
   ring_.clear();
+  ring_.reserve(active_.size() * vnodes_);
   for (const std::size_t s : active_) {
     for (std::size_t v = 0; v < vnodes_; ++v) {
       const std::uint64_t point =
           splitmix64(seed_ ^ splitmix64(s * 0x10001 + v));
-      ring_[point] = s;
+      ring_.emplace_back(point, s);
     }
   }
+  std::stable_sort(ring_.begin(), ring_.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    if (kept > 0 && ring_[kept - 1].first == ring_[i].first) {
+      ring_[kept - 1].second = ring_[i].second;
+    } else {
+      ring_[kept++] = ring_[i];
+    }
+  }
+  ring_.resize(kept);
 }
 
 void HashRing::add_server(std::size_t server) {
@@ -64,7 +81,9 @@ std::uint64_t HashRing::hash_key(std::string_view key) noexcept {
 }
 
 std::size_t HashRing::owner_of(std::uint64_t h) const {
-  auto it = ring_.lower_bound(h);
+  auto it = std::lower_bound(
+      ring_.begin(), ring_.end(), h,
+      [](const auto& point, std::uint64_t x) { return point.first < x; });
   if (it == ring_.end()) it = ring_.begin();  // wrap around the ring
   return it->second;
 }

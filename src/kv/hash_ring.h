@@ -6,15 +6,15 @@
 // Elastic placement: the ring distinguishes *provisioned* servers (the
 // fixed index space 0..num_servers-1, sized at construction) from the
 // *active* set actually projected onto the ring. add_server / remove_server
-// mutate the active set, bump the placement epoch, and rebuild the point
-// map; moved_ranges() diffs two rings into the minimal set of hash ranges
-// whose owner changed, which is what the migration pass walks.
+// mutate the active set, bump the placement epoch, and rebuild the sorted
+// point array; moved_ranges() diffs two rings into the minimal set of hash
+// ranges whose owner changed, which is what the migration pass walks.
 #pragma once
 
 #include <cstdint>
 #include <algorithm>
-#include <map>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "kv/protocol.h"
@@ -128,8 +128,9 @@ class HashRing {
   std::size_t vnodes_;
   std::uint64_t seed_;
   std::uint64_t epoch_ = 1;
-  std::vector<std::size_t> active_;            // ascending server indices
-  std::map<std::uint64_t, std::size_t> ring_;  // point -> server index
+  std::vector<std::size_t> active_;  // ascending server indices
+  /// (point, server index), ascending by point, one entry per point.
+  std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };
 
 }  // namespace hpres::kv

@@ -3,7 +3,10 @@
 // return a Future the caller later waits on (memcached_wait semantics).
 //
 // State is shared_ptr-owned, so a Future outliving its Promise (or vice
-// versa) is safe; both ends are single-threaded simulator objects.
+// versa) is safe; both ends are single-threaded simulator objects. A
+// `co_await f.wait()` borrows the state through f, so f must outlive the
+// co_await: a local, a member of a live object, or a temporary inside the
+// co_await expression itself all qualify.
 #pragma once
 
 #include <cassert>
@@ -55,12 +58,16 @@ class Future {
     return state_ && state_->value.has_value();
   }
 
-  /// Suspends until the promise is fulfilled, then returns the value.
-  Task<T> wait() const {
-    auto state = state_;  // keep alive across suspension
-    assert(state && "waiting on an invalid Future");
-    co_await state->event.wait();
-    co_return *state->value;
+  /// Awaitable: suspends until the promise is fulfilled, then yields a copy
+  /// of the value. Builds no coroutine frame and allocates nothing; this
+  /// Future must outlive the co_await (see the header comment).
+  [[nodiscard]] auto wait() const noexcept {
+    assert(state_ && "waiting on an invalid Future");
+    struct Awaiter : detail::ParkAwaiter {
+      const typename Promise<T>::State* state;
+      T await_resume() const { return *state->value; }
+    };
+    return Awaiter{state_->event.wait(), state_.get()};
   }
 
   /// Suspends until the promise is fulfilled or `timeout` simulated

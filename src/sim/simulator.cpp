@@ -12,7 +12,7 @@ namespace {
 struct Detached {
   std::coroutine_handle<> handle;
 
-  struct promise_type {
+  struct promise_type : detail::RecycledFrame {
     Detached get_return_object() noexcept {
       return Detached{
           std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -45,37 +45,38 @@ void Simulator::spawn_at(SimTime at, Task<void> task) {
   schedule(run_detached(std::move(task)).handle, at - now_);
 }
 
-SimTime Simulator::run() {
-  while (!queue_.empty()) {
-    const Scheduled item = queue_.top();
-    queue_.pop();
-    now_ = item.at;
-    ++executed_;
-    item.handle.resume();
+void Simulator::run_next() {
+  std::coroutine_handle<> h;
+  if (!heap_.empty() &&
+      (ready_head_ == ready_.size() || heap_.top().at == now_)) {
+    const Scheduled& top = heap_.top();
+    now_ = top.at;
+    h = top.handle;
+    heap_.pop();
+  } else {
+    h = ready_[ready_head_++];
+    if (ready_head_ == ready_.size()) {  // drained: reuse the buffer
+      ready_.clear();
+      ready_head_ = 0;
+    }
   }
+  ++executed_;
+  h.resume();
+}
+
+SimTime Simulator::run() {
+  while (!idle()) run_next();
   return now_;
 }
 
 SimTime Simulator::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().at <= deadline) {
-    const Scheduled item = queue_.top();
-    queue_.pop();
-    now_ = item.at;
-    ++executed_;
-    item.handle.resume();
-  }
+  while (!idle() && next_event_time() <= deadline) run_next();
   if (now_ < deadline) now_ = deadline;
   return now_;
 }
 
 SimTime Simulator::run_window(SimTime end) {
-  while (!queue_.empty() && queue_.top().at < end) {
-    const Scheduled item = queue_.top();
-    queue_.pop();
-    now_ = item.at;
-    ++executed_;
-    item.handle.resume();
-  }
+  while (!idle() && next_event_time() < end) run_next();
   if (now_ < end) now_ = end;
   return now_;
 }

@@ -2,13 +2,23 @@
 //
 // A single-threaded event loop over (time, sequence) ordered continuations.
 // All awaitable primitives (delay, Event, Channel, Semaphore, resources)
-// schedule coroutine resumptions through this queue, so execution order is a
+// schedule coroutine resumptions through this loop, so execution order is a
 // pure function of the program and its seeds — every experiment in this
 // repository is reproducible bit-for-bit.
+//
+// Two lanes hold pending events. Positive delays go to a binary heap keyed
+// on (time, sequence); zero delays — most events: spawns, Event::set,
+// Semaphore::release, channel wake-ups — go to a FIFO "ready lane" stamped
+// with the current time. The loop runs heap events due now, then the ready
+// lane, and only then advances the clock. That is exactly (time, sequence)
+// order: a heap event due at now() was scheduled before the clock reached
+// now(), so its sequence number is lower than that of every ready-lane
+// event, all of which were scheduled at now().
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -43,7 +53,11 @@ class Simulator {
   /// builds keep the historical clamp-to-now behaviour.
   void schedule(std::coroutine_handle<> h, SimDur delay = 0) {
     assert(delay >= 0 && "negative schedule() delay (stale timestamp?)");
-    queue_.push(Scheduled{now_ + (delay < 0 ? 0 : delay), next_seq_++, h});
+    if (delay <= 0) {
+      ready_.push_back(h);
+    } else {
+      heap_.push(Scheduled{now_ + delay, next_seq_++, h});
+    }
   }
 
   /// Starts a detached process. The process begins at the current simulated
@@ -88,13 +102,20 @@ class Simulator {
   /// Timestamp of the earliest queued event, or kNever when idle. This is
   /// the per-shard horizon the conservative scheduler synchronizes on.
   [[nodiscard]] SimTime next_event_time() const noexcept {
-    return queue_.empty() ? kNever : queue_.top().at;
+    if (ready_head_ < ready_.size()) return now_;
+    return heap_.empty() ? kNever : heap_.top().at;
   }
 
   /// True if no events remain.
-  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
+  [[nodiscard]] bool idle() const noexcept {
+    return ready_head_ == ready_.size() && heap_.empty();
+  }
 
  private:
+  /// Pops the next event in (time, sequence) order, advances the clock to
+  /// it and resumes it. Requires !idle().
+  void run_next();
+
   struct Scheduled {
     SimTime at;
     std::uint64_t seq;
@@ -107,7 +128,9 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Scheduled> queue_;
+  std::priority_queue<Scheduled> heap_;          // delay > 0
+  std::vector<std::coroutine_handle<>> ready_;  // delay <= 0, due at now_
+  std::size_t ready_head_ = 0;                  // next ready_ entry to run
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

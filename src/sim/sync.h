@@ -1,19 +1,29 @@
 // Synchronization primitives for simulator coroutines: one-shot Event,
-// MPMC Channel, counting Semaphore, countdown Latch, and WorkerPool (a
-// semaphore-guarded compute resource that charges simulated time).
+// unbounded FIFO Channel, counting Semaphore, Condition, countdown Latch,
+// and WorkerPool (a semaphore-guarded compute resource that charges
+// simulated time).
 //
 // Lifetime invariant shared by all primitives: a coroutine suspended on a
 // primitive must be kept alive until it resumes (the simulator never drops
 // scheduled handles), and the primitive must outlive its waiters.
+//
+// Waiting allocates nothing. A parked coroutine is linked into its
+// primitive's FIFO through a node embedded in the awaiter, which lives in
+// the waiting coroutine's own frame until it resumes. Event, Latch and
+// Condition waits (and Future waits, future.h) return such awaiters
+// directly instead of a child Task, so a wait builds no coroutine frame.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -22,17 +32,78 @@ namespace hpres::sim {
 
 namespace detail {
 
-/// Parks a coroutine on an external waiter list; resumption is triggered by
-/// the owning primitive scheduling the handle through the simulator.
-struct ParkAwaiter {
-  std::deque<std::coroutine_handle<>>* waiters;
+/// A parked coroutine's link in a WaitQueue.
+struct WaitNode {
+  WaitNode* next = nullptr;
+  std::coroutine_handle<> handle;
+};
 
-  [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) const {
-    waiters->push_back(h);
+/// Intrusive FIFO of parked coroutines; wake-ups schedule them through the
+/// simulator in park order.
+class WaitQueue {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  void push_back(WaitNode* node) noexcept {
+    node->next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = node;
+    } else {
+      tail_->next = node;
+    }
+    tail_ = node;
+    ++size_;
+  }
+
+  /// Schedules the oldest waiter, if any.
+  void wake_one(Simulator& sim) {
+    WaitNode* node = head_;
+    if (node == nullptr) return;
+    head_ = node->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    --size_;
+    sim.schedule(node->handle, 0);
+  }
+
+  /// Schedules every waiter, oldest first.
+  void wake_all(Simulator& sim) {
+    WaitNode* node = std::exchange(head_, nullptr);
+    tail_ = nullptr;
+    size_ = 0;
+    while (node != nullptr) {
+      WaitNode* next = node->next;  // the node dies once its owner resumes
+      sim.schedule(node->handle, 0);
+      node = next;
+    }
+  }
+
+ private:
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+/// Parks the awaiting coroutine on a WaitQueue, unless `*ready` (when
+/// given) is already true. Must stay trivially destructible (raw pointers
+/// only): g++-12 destroys a non-trivial awaiter temporary twice (once at
+/// the end of the co_await full-expression, once during frame cleanup).
+struct ParkAwaiter : WaitNode {
+  WaitQueue* queue;
+  const bool* ready = nullptr;
+
+  explicit ParkAwaiter(WaitQueue* q, const bool* r = nullptr) noexcept
+      : queue(q), ready(r) {}
+
+  [[nodiscard]] bool await_ready() const noexcept {
+    return ready != nullptr && *ready;
+  }
+  void await_suspend(std::coroutine_handle<> h) noexcept {
+    handle = h;
+    queue->push_back(this);
   }
   void await_resume() const noexcept {}
 };
+static_assert(std::is_trivially_destructible_v<ParkAwaiter>);
 
 /// One waiter with a deadline. Both the signalling primitive and a timer
 /// coroutine race to resume the parked handle; `fired` makes the wake-up
@@ -44,13 +115,11 @@ struct TimedWaiter {
 };
 
 /// Parks a coroutine as a TimedWaiter on the owning primitive's list.
-/// Must stay trivially destructible (raw pointers only, like ParkAwaiter):
-/// g++-12 destroys a non-trivial awaiter temporary twice (once at the end
-/// of the co_await full-expression, once during frame cleanup), so an
-/// owning shared_ptr member here would be double-released. The deque takes
-/// its own reference inside await_suspend instead.
+/// Trivially destructible for the same g++-12 reason as ParkAwaiter, so
+/// it holds the waiter through a raw pointer to the caller's shared_ptr;
+/// the list takes its own reference inside await_suspend.
 struct TimedParkAwaiter {
-  std::deque<std::shared_ptr<TimedWaiter>>* waiters;
+  std::vector<std::shared_ptr<TimedWaiter>>* waiters;
   const std::shared_ptr<TimedWaiter>* waiter;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
@@ -73,26 +142,25 @@ class Event {
 
   [[nodiscard]] bool is_set() const noexcept { return set_; }
 
+  /// Wakes every waiter at the current time: plain waiters in park order,
+  /// then timed waiters whose deadline has not fired, in park order.
   void set() {
     if (set_) return;
     set_ = true;
-    while (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
+    waiters_.wake_all(*sim_);
+    for (const auto& waiter : timed_waiters_) {
+      if (waiter->fired) continue;  // timed-out waiters were already resumed
+      waiter->fired = true;
+      waiter->signaled = true;
+      sim_->schedule(waiter->handle, 0);
     }
-    while (!timed_waiters_.empty()) {
-      const auto& waiter = timed_waiters_.front();
-      if (!waiter->fired) {  // timed-out waiters were already resumed
-        waiter->fired = true;
-        waiter->signaled = true;
-        sim_->schedule(waiter->handle, 0);
-      }
-      timed_waiters_.pop_front();
-    }
+    timed_waiters_.clear();
   }
 
-  Task<void> wait() {
-    while (!set_) co_await detail::ParkAwaiter{&waiters_};
+  /// Awaitable: suspends until `set()`. Allocates nothing; the event must
+  /// outlive the co_await.
+  [[nodiscard]] detail::ParkAwaiter wait() noexcept {
+    return detail::ParkAwaiter{&waiters_, &set_};
   }
 
   /// Suspends until `set()` or until `timeout` simulated nanoseconds pass,
@@ -121,8 +189,8 @@ class Event {
 
   Simulator* sim_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-  std::deque<std::shared_ptr<detail::TimedWaiter>> timed_waiters_;
+  detail::WaitQueue waiters_;
+  std::vector<std::shared_ptr<detail::TimedWaiter>> timed_waiters_;
 };
 
 /// Unbounded FIFO channel. Multiple producers and consumers are supported;
@@ -139,17 +207,14 @@ class Channel {
   void send(T item) {
     if (closed_) return;
     items_.push_back(std::move(item));
-    wake_one();
+    waiters_.wake_one(*sim_);
   }
 
   /// Closes the channel: queued items remain receivable; subsequent recv()
   /// on an empty channel yields nullopt.
   void close() {
     closed_ = true;
-    while (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
+    waiters_.wake_all(*sim_);
   }
 
   [[nodiscard]] bool closed() const noexcept { return closed_; }
@@ -177,16 +242,9 @@ class Channel {
   }
 
  private:
-  void wake_one() {
-    if (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
-  }
-
   Simulator* sim_;
   std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitQueue waiters_;
   bool closed_ = false;
 };
 
@@ -217,16 +275,13 @@ class Semaphore {
 
   void release() {
     ++count_;
-    if (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
+    waiters_.wake_one(*sim_);
   }
 
  private:
   Simulator* sim_;
   std::uint32_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitQueue waiters_;
 };
 
 /// Condition variable: waiters park until notify_all(), then re-check their
@@ -238,18 +293,16 @@ class Condition {
   Condition(const Condition&) = delete;
   Condition& operator=(const Condition&) = delete;
 
-  Task<void> wait() { co_await detail::ParkAwaiter{&waiters_}; }
-
-  void notify_all() {
-    while (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
+  /// Awaitable: parks until the next notify_all(). Allocates nothing.
+  [[nodiscard]] detail::ParkAwaiter wait() noexcept {
+    return detail::ParkAwaiter{&waiters_};
   }
+
+  void notify_all() { waiters_.wake_all(*sim_); }
 
  private:
   Simulator* sim_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitQueue waiters_;
 };
 
 /// Countdown latch: wait() completes once count_down() has been called
@@ -270,7 +323,8 @@ class Latch {
 
   [[nodiscard]] std::uint32_t remaining() const noexcept { return remaining_; }
 
-  Task<void> wait() { return event_.wait(); }
+  /// Awaitable: completes once the count reaches zero.
+  [[nodiscard]] detail::ParkAwaiter wait() noexcept { return event_.wait(); }
 
  private:
   std::uint32_t remaining_;

@@ -13,7 +13,10 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -23,6 +26,115 @@ template <typename T>
 class Task;
 
 namespace detail {
+
+// Frame recycler. Simulation processes create and destroy millions of
+// short-lived coroutine frames of a handful of sizes, so every promise type
+// here allocates its frame through a bounded per-thread freelist: one list
+// per 16-byte size class, each capped at kFrameCacheCap blocks. Frames
+// larger than the largest class, and frees past the cap, go straight to
+// ::operator new/delete, so the cache holds at most a fixed number of idle
+// blocks per thread. Frames are plain memory with no thread affinity: a
+// frame freed on another thread simply joins that thread's cache. Under
+// AddressSanitizer the recycler is compiled out, so every frame's lifetime
+// stays visible to the sanitizer.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kFrameRecycling = false;
+#else
+inline constexpr bool kFrameRecycling = true;
+#endif
+
+inline constexpr std::size_t kFrameGranule = 16;
+inline constexpr std::size_t kFrameClasses = 128;  // frames up to 2 KiB
+inline constexpr std::size_t kMaxRecycledFrame = kFrameGranule * kFrameClasses;
+inline constexpr std::uint32_t kFrameCacheCap = 256;
+
+struct FreeFrame {
+  FreeFrame* next;
+};
+
+/// One thread's idle frames. Trivially destructible and constant-
+/// initialized, so access needs no TLS guard; a separate thread_local
+/// (FrameCacheDrain) returns the blocks when the thread exits.
+struct FrameCache {
+  FreeFrame* head[kFrameClasses];
+  std::uint32_t count[kFrameClasses];
+  bool attached;  ///< the exit-time drain is registered on this thread
+  bool closed;    ///< the drain ran: bypass the cache from now on
+};
+
+inline constinit thread_local FrameCache t_frame_cache{};
+
+[[nodiscard]] inline constexpr std::size_t frame_class(
+    std::size_t size) noexcept {
+  return size == 0 ? 0 : (size - 1) / kFrameGranule;
+}
+
+struct FrameCacheDrain {
+  FrameCacheDrain() noexcept = default;
+  FrameCacheDrain(const FrameCacheDrain&) = delete;
+  FrameCacheDrain& operator=(const FrameCacheDrain&) = delete;
+  ~FrameCacheDrain() {
+    FrameCache& cache = t_frame_cache;
+    cache.closed = true;
+    for (std::size_t c = 0; c < kFrameClasses; ++c) {
+      while (FreeFrame* block = cache.head[c]) {
+        cache.head[c] = block->next;
+        ::operator delete(block, (c + 1) * kFrameGranule);
+      }
+      cache.count[c] = 0;
+    }
+  }
+};
+
+/// Registers this thread's exit-time drain (first cached free only).
+[[gnu::noinline, gnu::cold]] inline void attach_frame_cache() {
+  static thread_local FrameCacheDrain drain;
+  static_cast<void>(&drain);
+  t_frame_cache.attached = true;
+}
+
+/// Idle frames cached in `size`'s class on this thread (for tests).
+[[nodiscard]] inline std::uint32_t cached_frames(std::size_t size) noexcept {
+  const std::size_t c = frame_class(size);
+  return c < kFrameClasses ? t_frame_cache.count[c] : 0;
+}
+
+[[nodiscard]] inline void* allocate_frame(std::size_t size) {
+  const std::size_t c = frame_class(size);
+  if (!kFrameRecycling || c >= kFrameClasses) return ::operator new(size);
+  FrameCache& cache = t_frame_cache;
+  if (FreeFrame* block = cache.head[c]) {
+    cache.head[c] = block->next;
+    --cache.count[c];
+    return block;
+  }
+  return ::operator new((c + 1) * kFrameGranule);
+}
+
+inline void deallocate_frame(void* frame, std::size_t size) noexcept {
+  const std::size_t c = frame_class(size);
+  if (!kFrameRecycling || c >= kFrameClasses) {
+    ::operator delete(frame, size);
+    return;
+  }
+  FrameCache& cache = t_frame_cache;
+  if (cache.count[c] >= kFrameCacheCap || cache.closed) {
+    ::operator delete(frame, (c + 1) * kFrameGranule);
+    return;
+  }
+  if (!cache.attached) attach_frame_cache();
+  cache.head[c] = ::new (frame) FreeFrame{cache.head[c]};
+  ++cache.count[c];
+}
+
+/// Base for promise types: routes the coroutine frame through the recycler.
+/// The compiler passes operator delete the same size it gave operator new.
+struct RecycledFrame {
+  static void* operator new(std::size_t size) { return allocate_frame(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    deallocate_frame(frame, size);
+  }
+};
 
 /// Final awaiter: resumes the awaiting ("continuation") coroutine, if any,
 /// via symmetric transfer. Keeps the frame alive so the Task destructor can
@@ -38,7 +150,7 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct PromiseBase {
+struct PromiseBase : RecycledFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace hpres::kv {
 namespace {
@@ -224,6 +229,100 @@ TEST(HashRingEpoch, MovedRangesCoverMutuallyExclusiveArcs) {
   }
   EXPECT_GT(HashRing::moved_fraction(ranges), 0.0);
   EXPECT_LT(HashRing::moved_fraction(ranges), 0.5);
+}
+
+// --- Flat point array vs. the std::map layout --------------------------------
+
+// Reference: the ordered-map ring HashRing kept before its points moved into
+// a sorted array. Same point formula, same (server, vnode) insertion order,
+// same last-writer-wins rule on colliding points.
+class MapRing {
+ public:
+  MapRing(const std::vector<std::size_t>& active, std::size_t vnodes,
+          std::uint64_t seed) {
+    for (const std::size_t s : active) {
+      for (std::size_t v = 0; v < vnodes; ++v) {
+        ring_[splitmix64(seed ^ splitmix64(s * 0x10001 + v))] = s;
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t owner_of(std::uint64_t h) const {
+    auto it = ring_.lower_bound(h);
+    if (it == ring_.end()) it = ring_.begin();
+    return it->second;
+  }
+
+  [[nodiscard]] static std::vector<HashRing::MovedRange> moved_ranges(
+      const MapRing& before, const MapRing& after) {
+    std::vector<std::uint64_t> points;
+    for (const auto& [p, s] : before.ring_) points.push_back(p);
+    for (const auto& [p, s] : after.ring_) points.push_back(p);
+    std::sort(points.begin(), points.end());
+    points.erase(std::unique(points.begin(), points.end()), points.end());
+    std::vector<HashRing::MovedRange> out;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const std::uint64_t hi = points[i];
+      const std::uint64_t lo = i == 0 ? points.back() : points[i - 1];
+      const std::size_t from = before.owner_of(hi);
+      const std::size_t to = after.owner_of(hi);
+      if (from == to) continue;
+      if (!out.empty() && out.back().end == lo && out.back().from == from &&
+          out.back().to == to) {
+        out.back().end = hi;
+      } else {
+        out.push_back(HashRing::MovedRange{lo, hi, from, to});
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::map<std::uint64_t, std::size_t> ring_;
+};
+
+void expect_same_ranges(const std::vector<HashRing::MovedRange>& got,
+                        const std::vector<HashRing::MovedRange>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].begin, want[i].begin) << i;
+    EXPECT_EQ(got[i].end, want[i].end) << i;
+    EXPECT_EQ(got[i].from, want[i].from) << i;
+    EXPECT_EQ(got[i].to, want[i].to) << i;
+  }
+}
+
+TEST(HashRingFlat, OwnersAndMovedRangesMatchMapLayout) {
+  constexpr std::size_t kVnodes = 128;
+  constexpr std::uint64_t kSeed = 0x5eed;
+  constexpr int kKeys = 100'000;
+  HashRing ring(8, kVnodes, kSeed, /*initial_active=*/5);
+  Xoshiro256 rng(42);
+  // Joins and leaves, including re-adding a removed server.
+  const std::vector<std::pair<bool, std::size_t>> steps = {
+      {true, 5}, {true, 6}, {false, 2}, {true, 7}, {false, 0}, {true, 2}};
+  for (std::size_t step = 0; step <= steps.size(); ++step) {
+    const MapRing ref(ring.active(), kVnodes, kSeed);
+    int mismatched = 0;
+    for (int i = 0; i < kKeys; ++i) {
+      const std::string key = "user" + std::to_string(rng());
+      if (ring.primary_index(key) != ref.owner_of(HashRing::hash_key(key))) {
+        ++mismatched;
+      }
+    }
+    EXPECT_EQ(mismatched, 0) << "step " << step;
+    if (step == steps.size()) break;
+    const HashRing before = ring;
+    const auto [join, server] = steps[step];
+    if (join) {
+      ring.add_server(server);
+    } else {
+      ring.remove_server(server);
+    }
+    const MapRing after_ref(ring.active(), kVnodes, kSeed);
+    expect_same_ranges(HashRing::moved_ranges(before, ring),
+                       MapRing::moved_ranges(ref, after_ref));
+  }
 }
 
 }  // namespace

@@ -6,10 +6,15 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 
 namespace hpres::sim {
@@ -235,6 +240,187 @@ TEST(Simulator, DeterministicAcrossRuns) {
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Ready lane vs. heap: (time, sequence) order -----------------------------
+
+// Reference model for the event order: every schedule the processes below
+// make is mirrored into a plain (at, seq) priority queue, and each process
+// wake-up must be the model's minimum. This is the order the single-heap
+// loop produced; the ready lane must reproduce it exactly.
+struct OrderModel {
+  using Entry = std::tuple<SimTime, std::uint64_t, std::size_t>;  // at,seq,id
+
+  Simulator* sim;
+  Xoshiro256 rng;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pending;
+  std::uint64_t next_seq = 0;
+  std::size_t next_id = 0;
+  std::size_t steps_left = 0;
+  std::size_t wakeups = 0;
+  std::size_t mismatches = 0;
+
+  void expect(SimTime at, std::size_t id) {
+    pending.emplace(at, next_seq++, id);
+  }
+
+  void on_wake(std::size_t id) {
+    ++wakeups;
+    if (pending.empty() || std::get<0>(pending.top()) != sim->now() ||
+        std::get<2>(pending.top()) != id) {
+      ++mismatches;
+    }
+    if (!pending.empty()) pending.pop();
+  }
+
+  [[nodiscard]] SimTime model_next() const {
+    return pending.empty() ? Simulator::kNever : std::get<0>(pending.top());
+  }
+
+  /// A delay drawn to collide often: zero, small, and (release builds
+  /// only, where the simulator clamps instead of asserting) negative.
+  SimDur draw_delay() {
+    switch (rng() % 6) {
+      case 0:
+      case 1:
+        return 0;
+#ifdef NDEBUG
+      case 2:
+        return -static_cast<SimDur>(1 + rng() % 3);
+#endif
+      default:
+        return static_cast<SimDur>(1 + rng() % 4);
+    }
+  }
+
+  void spawn_new();
+};
+
+Task<void> random_process(OrderModel* m, std::size_t id) {
+  for (;;) {
+    m->on_wake(id);
+    if (m->steps_left == 0) co_return;
+    --m->steps_left;
+    // Spawn zero to two children, half of them through spawn_at(now).
+    for (std::uint64_t n = m->rng() % 3; n > 0; --n) m->spawn_new();
+    if (m->rng() % 5 == 0) co_return;
+    const SimDur d = m->draw_delay();
+    m->expect(m->sim->now() + std::max<SimDur>(d, 0), id);
+    co_await m->sim->delay(d);
+  }
+}
+
+void OrderModel::spawn_new() {
+  const std::size_t id = next_id++;
+  expect(sim->now(), id);
+  if (rng() % 2 == 0) {
+    sim->spawn(random_process(this, id));
+  } else {
+    sim->spawn_at(sim->now(), random_process(this, id));
+  }
+}
+
+enum class Drive { kRun, kRunUntil, kRunWindow };
+
+// Drives one seeded run to completion under `drive`, checking every wake-up
+// against the model. Between bounded runs it injects work from outside the loop — spawns at
+// now() land behind heap events already due at now() — and checks the
+// horizon the shard runtime synchronizes on.
+void drive_random_run(std::uint64_t seed, Drive drive) {
+  Simulator sim;
+  OrderModel m{&sim, Xoshiro256(seed)};
+  m.steps_left = 400;
+  for (int i = 0; i < 4; ++i) m.spawn_new();
+  std::size_t horizon_errors = 0;
+  std::size_t bound_errors = 0;
+  while (!sim.idle()) {
+    if (sim.next_event_time() != m.model_next()) ++horizon_errors;
+    if (drive == Drive::kRun) {
+      sim.run();
+      continue;
+    }
+    const SimTime before = sim.now();
+    const SimTime bound = before + static_cast<SimTime>(m.rng() % 4);
+    if (drive == Drive::kRunUntil) {
+      sim.run_until(bound);
+      if (m.model_next() <= bound) ++bound_errors;
+    } else {
+      sim.run_window(bound);
+      if (m.model_next() < bound) ++bound_errors;
+    }
+    if (sim.now() != std::max(before, bound)) ++bound_errors;
+    if (m.rng() % 3 == 0) {
+      const std::size_t id = m.next_id++;
+      const SimTime at = sim.now() + static_cast<SimTime>(m.rng() % 2);
+      m.expect(at, id);
+      sim.spawn_at(at, random_process(&m, id));
+    }
+  }
+  EXPECT_EQ(m.mismatches, 0u) << "seed " << seed;
+  EXPECT_EQ(horizon_errors, 0u) << "seed " << seed;
+  EXPECT_EQ(bound_errors, 0u) << "seed " << seed;
+  EXPECT_TRUE(m.pending.empty()) << "seed " << seed;
+  EXPECT_EQ(m.wakeups, sim.events_executed()) << "seed " << seed;
+  EXPECT_EQ(sim.next_event_time(), Simulator::kNever);
+}
+
+TEST(SimulatorOrder, RunMatchesAtSeqModel) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    drive_random_run(seed, Drive::kRun);
+  }
+}
+
+TEST(SimulatorOrder, RunUntilMatchesAtSeqModel) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    drive_random_run(seed, Drive::kRunUntil);
+  }
+}
+
+TEST(SimulatorOrder, RunWindowMatchesAtSeqModel) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    drive_random_run(seed, Drive::kRunWindow);
+  }
+}
+
+Task<void> zero_delay_chain(Simulator* sim, int hops,
+                            std::vector<SimTime>* log) {
+  for (int i = 0; i < hops; ++i) co_await sim->delay(0);
+  log->push_back(sim->now());
+}
+
+// With only ready-lane (zero-delay) events pending, the horizon is now(),
+// the simulator is not idle, and the strict window bound still holds.
+TEST(SimulatorOrder, ReadyLaneOnlyHorizon) {
+  Simulator sim;
+  std::vector<SimTime> log;
+  sim.run_until(50);
+  ASSERT_TRUE(sim.idle());
+  sim.spawn(zero_delay_chain(&sim, 3, &log));
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), 50);
+  sim.run_window(50);  // strict: nothing due before 50 runs
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.next_event_time(), 50);
+  sim.run_until(50);  // inclusive: the whole chain runs at 50
+  EXPECT_EQ(log, (std::vector<SimTime>{50}));
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), Simulator::kNever);
+}
+
+// A heap event due at now() (scheduled earlier) runs before a ready-lane
+// event scheduled at now(), and a later heap event stays behind the lane.
+TEST(SimulatorOrder, DueHeapEventPrecedesReadyLane) {
+  Simulator sim;
+  std::vector<std::string> log;
+  sim.spawn(record_label(&sim, 10, "heap@10", &log));
+  sim.spawn(record_label(&sim, 11, "heap@11", &log));
+  sim.run_window(10);
+  EXPECT_EQ(sim.now(), 10);
+  sim.spawn(record_label(&sim, 0, "lane@10", &log));
+  EXPECT_EQ(sim.next_event_time(), 10);
+  sim.run();
+  EXPECT_EQ(log,
+            (std::vector<std::string>{"heap@10", "lane@10", "heap@11"}));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -314,6 +315,112 @@ TEST(EventWaitFor, MixedTimedAndPlainWaiters) {
   EXPECT_EQ(timed_log[0].second, 50);
   EXPECT_TRUE(timed_log[1].first);
   EXPECT_EQ(timed_log[1].second, 200);
+}
+
+// --- Frame-free waits --------------------------------------------------------
+
+Task<void> wait_counting_events(Simulator* sim, Event* ev,
+                                std::uint64_t* events_while_waiting) {
+  const std::uint64_t before = sim->events_executed();
+  co_await ev->wait();
+  *events_while_waiting = sim->events_executed() - before;
+}
+
+TEST(EventAwaiter, WaitOnSetEventDoesNotSuspend) {
+  Simulator sim;
+  Event ev(sim);
+  EXPECT_FALSE(ev.wait().await_ready());
+  ev.set();
+  EXPECT_TRUE(ev.wait().await_ready());
+  std::uint64_t events = 99;
+  sim.spawn(wait_counting_events(&sim, &ev, &events));
+  sim.run();
+  EXPECT_EQ(events, 0u);
+}
+
+TEST(EventAwaiter, ParkedWaiterResumesInOneEvent) {
+  Simulator sim;
+  Event ev(sim);
+  std::uint64_t events = 0;
+  sim.spawn(wait_counting_events(&sim, &ev, &events));
+  sim.run();
+  ev.set();
+  sim.run();
+  EXPECT_EQ(events, 1u);  // the set() wake-up itself, nothing more
+}
+
+Task<void> timed_wait_labelled(Simulator* sim, Event* ev, SimDur timeout,
+                               std::string label,
+                               std::vector<std::string>* log) {
+  const bool fired = co_await ev->wait_for(timeout);
+  log->push_back(label + ":" + (fired ? "1" : "0") + "@" +
+                 std::to_string(sim->now()));
+}
+
+// Plain and timed waiters parked interleaved wake as Event::set always
+// ordered them: every plain waiter in park order, then every live timed
+// waiter in park order, all at the set() instant.
+TEST(EventAwaiter, PlainAndTimedWaitersWakeInSetOrder) {
+  Simulator sim;
+  Event ev(sim);
+  std::vector<std::string> log;
+  sim.spawn(wait_and_log(&sim, &ev, "p1", &log));
+  sim.spawn(timed_wait_labelled(&sim, &ev, 500, "t1", &log));
+  sim.spawn(wait_and_log(&sim, &ev, "p2", &log));
+  sim.spawn(timed_wait_labelled(&sim, &ev, 50, "t2", &log));  // expires
+  sim.spawn(timed_wait_labelled(&sim, &ev, 500, "t3", &log));
+  sim.spawn(wait_and_log(&sim, &ev, "p3", &log));
+  sim.spawn(set_after(&sim, &ev, 100));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"t2:0@50", "p1@100", "p2@100",
+                                           "p3@100", "t1:1@100",
+                                           "t3:1@100"}));
+}
+
+Task<void> condition_waiter(Simulator* sim, Condition* cv, std::string label,
+                            std::vector<std::string>* log) {
+  co_await cv->wait();
+  log->push_back(label + "@" + std::to_string(sim->now()));
+}
+
+Task<void> notify_after(Simulator* sim, Condition* cv, SimDur d) {
+  co_await sim->delay(d);
+  cv->notify_all();
+}
+
+TEST(Condition, NotifyAllWakesParkedWaitersInOrder) {
+  Simulator sim;
+  Condition cv(sim);
+  std::vector<std::string> log;
+  sim.spawn(condition_waiter(&sim, &cv, "a", &log));
+  sim.spawn(condition_waiter(&sim, &cv, "b", &log));
+  sim.spawn(notify_after(&sim, &cv, 40));
+  sim.spawn(notify_after(&sim, &cv, 90));  // nobody left to wake
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a@40", "b@40"}));
+}
+
+Task<void> acquire_and_log(Simulator* sim, Semaphore* sem, std::string label,
+                           std::vector<std::string>* log) {
+  co_await sem->acquire();
+  log->push_back(label + "@" + std::to_string(sim->now()));
+}
+
+TEST(Semaphore, WaitingCountsParkedAcquirers) {
+  Simulator sim;
+  Semaphore sem(sim, 0);
+  std::vector<std::string> log;
+  sim.spawn(acquire_and_log(&sim, &sem, "x", &log));
+  sim.spawn(acquire_and_log(&sim, &sem, "y", &log));
+  sim.run();
+  EXPECT_EQ(sem.waiting(), 2u);
+  sem.release();
+  EXPECT_EQ(sem.waiting(), 1u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"x@0"}));
+  sem.release();  // let "y" finish so its frames are freed
+  sim.run();
+  EXPECT_EQ(sem.waiting(), 0u);
 }
 
 }  // namespace
