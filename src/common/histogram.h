@@ -28,7 +28,7 @@ class LatencyHistogram {
     if (value < 0) value = 0;
     ++counts_[bucket_index(static_cast<std::uint64_t>(value))];
     ++total_;
-    sum_ += value;
+    add_to_sum(value);
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
@@ -38,7 +38,7 @@ class LatencyHistogram {
       counts_[i] += other.counts_[i];
     }
     total_ += other.total_;
-    sum_ += other.sum_;
+    add_to_sum(other.sum_);
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
@@ -52,6 +52,7 @@ class LatencyHistogram {
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
+  /// Sum of recorded values, saturating at INT64_MAX.
   [[nodiscard]] std::int64_t sum() const noexcept { return sum_; }
   [[nodiscard]] std::int64_t min() const noexcept { return total_ ? min_ : 0; }
   [[nodiscard]] std::int64_t max() const noexcept { return total_ ? max_ : 0; }
@@ -131,6 +132,13 @@ class LatencyHistogram {
   }
 
  private:
+  /// Both operands are non-negative, so saturating at the top keeps the
+  /// sum defined and exact below the limit.
+  void add_to_sum(std::int64_t v) noexcept {
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    sum_ = v > kMax - sum_ ? kMax : sum_ + v;
+  }
+
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::int64_t sum_ = 0;

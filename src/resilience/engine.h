@@ -35,9 +35,9 @@ struct PhaseBreakdown {
   }
 };
 
-/// Hedged-read configuration for the erasure Get path. The default (delta
-/// 0, load_aware false) disables both mechanisms and keeps the byte-exact
-/// legacy path — benchmarks and determinism tests compare against it.
+/// Hedged-read configuration for the erasure Get's any-k fragment read. The
+/// default (delta 0, load_aware false) fetches exactly k fragments in
+/// natural slot order, with no extra RNG draws.
 struct HedgeParams {
   /// Extra fragment fetches issued beyond k; the op completes on the first
   /// k decodable arrivals and cancels the rest. 0 = hedging off.
@@ -53,11 +53,6 @@ struct HedgeParams {
   /// Order candidate fragments by per-server load score (queue-depth and
   /// RTT EWMAs from piggybacked responses) instead of fixed slot order.
   bool load_aware = false;
-
-  /// Either mechanism routes Gets onto the hedged code path.
-  [[nodiscard]] bool enabled() const noexcept {
-    return delta > 0 || load_aware;
-  }
 };
 
 /// Packed-stripe (batched small-object) write-path configuration. The
@@ -91,6 +86,7 @@ struct EngineStats {
   std::uint64_t set_failures = 0;
   std::uint64_t get_failures = 0;
   std::uint64_t degraded_gets = 0;   ///< gets that needed failure handling
+                                     ///< (counted once per Get)
   std::uint64_t degraded_sets = 0;   ///< sets that worked around a dead owner
   std::uint64_t fallback_gets = 0;   ///< CD gets retried via the server path
   std::uint64_t failover_fetches = 0;  ///< alternate-fragment fetches after a
@@ -99,7 +95,8 @@ struct EngineStats {
   std::uint64_t hedges_fired = 0;    ///< extra fragment fetches issued
   std::uint64_t hedge_wins = 0;      ///< hedge fetches that made the decode set
   std::uint64_t hedges_suppressed = 0;  ///< hedges skipped: no spare buffer
-  std::uint64_t hedge_wasted_bytes = 0;  ///< fragment bytes fetched but unused
+  std::uint64_t hedge_wasted_bytes = 0;  ///< fragment bytes fetched but not
+                                         ///< decoded, hedged or not
   // Packed-stripe write path (zero when packing is off).
   std::uint64_t packed_sets = 0;        ///< sets routed through stripe packing
   std::uint64_t stripes_sealed = 0;     ///< stripes handed to group commit

@@ -37,19 +37,10 @@ sim::Task<Status> ErasureEngine::do_set(kv::Key key, SharedBytes value,
 
 sim::Task<Result<Bytes>> ErasureEngine::do_get(kv::Key key,
                                                OpPhases* phases) {
-  if (client_decodes(mode_)) {
-    // Packing first (it falls back to the legacy paths below for keys
-    // without a locator), then hedging; the default path stays byte-exact
-    // (no extra state, no RNG draws).
-    if (packing_active()) {
-      return get_packed(std::move(key), phases);
-    }
-    if (hedge_.enabled()) {
-      return get_client_decode_hedged(std::move(key), phases);
-    }
-    return get_client_decode(std::move(key), phases);
-  }
-  return get_server_decode(std::move(key), phases);
+  if (!client_decodes(mode_)) return get_server_decode(std::move(key), phases);
+  // Packed Gets fall back to the per-key path for keys without a locator.
+  if (packing_active()) return get_packed(std::move(key), phases);
+  return get_client_decode(std::move(key), phases);
 }
 
 sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
@@ -253,132 +244,14 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
 
 sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
                                                           OpPhases* phases) {
-  const std::size_t k = codec_->k();
-  const std::size_t n = codec_->n();
-
-  // Select which fragments to fetch, codec-aware (an MDS code takes the
-  // first k live owners, data slots first; LRC skips dependent rows).
-  // Needing to work around a dead owner costs one T_check (Equation 4).
-  std::vector<bool> available(n, false);
-  bool degraded = false;
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (membership().up(ring().slot_index(key, slot))) {
-      available[slot] = true;
-    } else {
-      degraded = true;
-    }
-  }
-  if (degraded) {
-    ++stats().degraded_gets;
-    phases->degraded = true;
-    co_await sim().delay(membership().check_cost_ns());
-  }
-  Result<std::vector<std::size_t>> selected =
-      codec_->select_read_set(available);
-  if (!selected.ok()) co_return selected.status();
-  std::vector<std::size_t> chosen = *selected;
-
-  // K non-blocking fragment fetches posted back-to-back from one CPU
-  // slice; the responses overlap (Equation 8).
-  const SimDur post_ns =
-      static_cast<SimDur>(k) * issue_cost(key.size() + 2);
-  co_await client().cpu().execute(post_ns);
-  phases->request_ns += post_ns;
-  obs::Tracer* const tr = tracer();
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine",
-                 sim().now() - post_ns, post_ns, phases->trace.trace_id);
-  }
-
-  // Failover fetch loop. Fragments are cached per slot across rounds: a
-  // chosen fragment that fails (dead owner, RPC timeout, or a miss on a
-  // live server) marks its slot unavailable, the read set is re-selected
-  // over the survivors, and only the replacement fragments are fetched.
-  // The Get therefore succeeds whenever any k live fragments exist,
-  // regardless of which initially-chosen fragment failed.
-  std::vector<SharedBytes> frag(n);
-  std::vector<bool> have(n, false);
-  std::optional<kv::ChunkInfo> meta;
-  StatusCode worst = StatusCode::kNotFound;
-  bool complete = false;
-  std::size_t round = 0;
-  const SimTime fetch_t0 = sim().now();
-  for (;;) {
-    std::vector<sim::Future<kv::Response>> pending;
-    std::vector<std::size_t> pending_slots;
-    pending.reserve(chosen.size());
-    for (const std::size_t slot : chosen) {
-      if (have[slot]) continue;
-      if (round > 0) {
-        ++stats().failover_fetches;
-        if (flight() != nullptr) {
-          flight()->record(sim().now(), node_of(ring().slot_index(key, slot)),
-                           obs::FlightEventType::kFailover, 0,
-                           static_cast<std::uint32_t>(client().id()));
-        }
-      }
-      kv::Request req;
-      req.verb = kv::Verb::kGet;
-      req.key = kv::chunk_key(key, slot);
-      req.trace = phases->trace;
-      pending.push_back(client().guarded_future(
-          node_of(ring().slot_index(key, slot)), std::move(req)));
-      pending_slots.push_back(slot);
-    }
-    bool failure = false;
-    const SimTime round_t0 = sim().now();
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      kv::Response resp = co_await pending[i].wait();
-      const std::size_t slot = pending_slots[i];
-      if (resp.code == StatusCode::kOk) {
-        // Passive load learning (observation only: no events, no RNG).
-        load_.observe_rtt(ring().slot_index(key, slot),
-                          sim().now() - round_t0, resp.queue_depth);
-        frag[slot] = std::move(resp.value);
-        have[slot] = true;
-        if (resp.chunk) meta = resp.chunk;
-      } else {
-        worst = resp.code;
-        available[slot] = false;
-        failure = true;
-      }
-    }
-    if (!failure) {
-      complete = true;
-      break;
-    }
-    // Working around the failure is a degraded read even when the
-    // membership oracle claimed every owner was up; re-selection pays
-    // one more T_check.
-    if (!degraded) {
-      degraded = true;
-      ++stats().degraded_gets;
-    }
-    phases->degraded = true;
-    co_await sim().delay(membership().check_cost_ns());
-    // Failover re-selection consults the per-node load scores (when the
-    // tracker has learned any): before this, every retry round re-selected
-    // from scratch in slot order and deterministically piled replacement
-    // fetches onto the first survivor. Deterministic (no tie-breaking RNG
-    // on this path): scores come only from observed responses.
-    const std::vector<std::size_t> preference =
-        load_preference(key, /*randomize=*/false, /*force=*/true);
-    selected = preference.empty()
-                   ? codec_->select_read_set(available)
-                   : codec_->select_read_set_ordered(available, preference);
-    if (!selected.ok()) break;  // not enough survivors: fall back / fail
-    chosen = *selected;
-    ++round;
-  }
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
-                 fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
-  }
-  if (!complete || !meta) {
-    if (!client_encodes(mode_)) {
-      // Server-side encode may still be distributing this key's fragments;
-      // the stager holds the full value until every fragment is acked, so
-      // one server-side aggregate resolves the race (read-after-write).
+  Result<AnyK> got = co_await fetch_any_k(key, phases);
+  if (!got.ok()) {
+    // Server-side encode may still be distributing this key's fragments;
+    // the stager holds the full value until every fragment is acked, so
+    // one server-side aggregate resolves the race (read-after-write). Too
+    // few live owners to select a read set at all is final.
+    if (!client_encodes(mode_) &&
+        got.status().code() != StatusCode::kTooManyFailures) {
       ++stats().fallback_gets;
       if (flight() != nullptr) {
         flight()->record(sim().now(), client().id(),
@@ -386,57 +259,20 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
       }
       co_return co_await get_server_decode(std::move(key), phases);
     }
-    co_return Status{worst, "missing fragments"};
+    co_return got.status();
   }
-
-  const std::size_t value_size = meta->original_size;
-  std::size_t missing_data = k;
-  for (const std::size_t slot : chosen) {
-    if (slot < k) --missing_data;
-  }
-
-  if (missing_data > 0) {
-    // T_decode on the client CPU, only on the degraded path.
-    const SimDur decode_ns =
-        cost_.decode_ns(value_size, static_cast<unsigned>(missing_data));
-    co_await client().cpu().execute(decode_ns);
-    phases->compute_ns += decode_ns;
-    if (tr != nullptr) {
-      tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
-                   sim().now() - decode_ns, decode_ns,
-                   phases->trace.trace_id);
-    }
-  }
-
   const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, codec_->alignment());
-  if (!ctx().materialize) co_return Bytes(value_size);
+      ec::make_layout(got->value_size, codec_->k(), codec_->alignment());
+  const Result<std::span<const ConstByteSpan>> data =
+      co_await decode_data(std::move(*got), phases);
+  if (!data.ok()) co_return data.status();
+  if (!ctx().materialize) co_return Bytes(layout.original_size);
+  co_return ec::join_fragments(*data, layout);
+}
 
-  // Rebuild missing data fragments for real, then reassemble. Runs on the
-  // engine-wide scratch (no co_await from here to join_fragments): fetched
-  // fragments copy-assign into slots whose capacity persists across ops,
-  // and absent slots are zero-filled in place for the reconstruct kernels.
-  DecodeScratch& sc = scratch_;
-  sc.storage.resize(n);
-  sc.present.assign(n, false);
-  for (const std::size_t slot : chosen) {
-    if (!frag[slot]) continue;
-    sc.storage[slot] = *frag[slot];
-    sc.present[slot] = true;
-  }
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!sc.present[slot]) {
-      sc.storage[slot].assign(layout.fragment_size, std::byte{0});
-    }
-  }
-  sc.spans.assign(sc.storage.begin(), sc.storage.end());
-  if (missing_data > 0) {
-    const Status s = codec_->reconstruct_data(sc.spans, sc.present);
-    if (!s.ok()) co_return s;
-  }
-  std::vector<ConstByteSpan> data(
-      sc.storage.begin(), sc.storage.begin() + static_cast<std::ptrdiff_t>(k));
-  co_return ec::join_fragments(data, layout);
+void ErasureEngine::mark_degraded_get(OpPhases* phases) {
+  if (!phases->degraded) ++stats().degraded_gets;
+  phases->degraded = true;
 }
 
 std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
@@ -464,15 +300,15 @@ SimDur ErasureEngine::hedge_delay() const noexcept {
   return d;
 }
 
-sim::Task<void> ErasureEngine::hedged_collector(
-    ErasureEngine* self, std::shared_ptr<HedgeFetchState> st,
-    std::size_t slot, bool is_hedge, sim::Future<kv::Response> fut,
-    SimTime issued_at) {
+sim::Task<void> ErasureEngine::fetch_collector(
+    ErasureEngine* self, std::shared_ptr<FetchState> st, std::size_t slot,
+    bool is_hedge, sim::Future<kv::Response> fut, SimTime issued_at) {
   kv::Response resp = co_await fut.wait();
   if (is_hedge) self->arpe().release_hedge_buffer();
   st->rpc_of_slot[slot] = 0;
   --st->outstanding;
   if (resp.code == StatusCode::kOk) {
+    // Passive load learning (observation only: no events, no RNG).
     self->load_.observe_rtt(st->owner[slot], self->sim().now() - issued_at,
                             resp.queue_depth);
     if (st->op_done) {
@@ -493,14 +329,15 @@ sim::Task<void> ErasureEngine::hedged_collector(
   st->progress.notify_all();
 }
 
-void ErasureEngine::issue_hedged_fetch(
-    const kv::Key& key, const std::shared_ptr<HedgeFetchState>& st,
-    std::size_t slot, bool is_hedge, const obs::TraceContext& trace) {
+void ErasureEngine::issue_fetch(const kv::Key& skey,
+                                const std::shared_ptr<FetchState>& st,
+                                std::size_t slot, bool is_hedge,
+                                const obs::TraceContext& trace) {
   st->attempted[slot] = true;
   if (is_hedge) st->hedge_slot[slot] = true;
   kv::Request req;
   req.verb = kv::Verb::kGet;
-  req.key = kv::chunk_key(key, slot);
+  req.key = kv::chunk_key(skey, slot);
   req.trace = trace;
   sim::Future<kv::Response> fut =
       client().guarded_future(node_of(st->owner[slot]), std::move(req));
@@ -511,12 +348,12 @@ void ErasureEngine::issue_hedged_fetch(
     st->rpc_of_slot[slot] = client().last_call_id();
   }
   ++st->outstanding;
-  sim().spawn(hedged_collector(this, st, slot, is_hedge, std::move(fut),
-                               sim().now()));
+  sim().spawn(fetch_collector(this, st, slot, is_hedge, std::move(fut),
+                              sim().now()));
 }
 
 sim::Task<void> ErasureEngine::hedge_firer(
-    ErasureEngine* self, kv::Key key, std::shared_ptr<HedgeFetchState> st,
+    ErasureEngine* self, kv::Key skey, std::shared_ptr<FetchState> st,
     std::vector<std::size_t> hedge_slots, obs::TraceContext trace,
     std::uint64_t trace_tid) {
   const std::size_t k = self->codec_->k();
@@ -537,7 +374,7 @@ sim::Task<void> ErasureEngine::hedge_firer(
     // The duplicate request costs real client CPU — that is the p50 price
     // of hedging and must show up in the schedule.
     co_await self->client().cpu().execute(
-        self->issue_cost(key.size() + 2));
+        self->issue_cost(skey.size() + 2));
     if (st->op_done || st->ok >= k) {  // op finished while queued on CPU
       self->arpe().release_hedge_buffer();
       break;
@@ -553,37 +390,38 @@ sim::Task<void> ErasureEngine::hedge_firer(
                  obs::FlightEventType::kHedgeFired, 0,
                  static_cast<std::uint32_t>(self->client().id()));
     }
-    self->issue_hedged_fetch(key, st, slot, true, trace);
+    self->issue_fetch(skey, st, slot, true, trace);
   }
   if (fired) ++self->stats().hedged_gets;
 }
 
-sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
-    kv::Key key, OpPhases* phases) {
+sim::Task<Result<ErasureEngine::AnyK>> ErasureEngine::fetch_any_k(
+    kv::Key skey, OpPhases* phases) {
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
 
-  auto st = std::make_shared<HedgeFetchState>(sim(), n);
-  bool degraded = false;
+  // Working around an owner the membership oracle reports down costs one
+  // T_check (Equation 4).
+  auto st = std::make_shared<FetchState>(sim(), n);
+  bool down = false;
   for (std::size_t slot = 0; slot < n; ++slot) {
-    st->owner[slot] = ring().slot_index(key, slot);
+    st->owner[slot] = ring().slot_index(skey, slot);
     if (membership().up(st->owner[slot])) {
       st->available[slot] = true;
     } else {
-      degraded = true;
+      down = true;
     }
   }
-  if (degraded) {
-    ++stats().degraded_gets;
-    phases->degraded = true;
+  if (down) {
+    mark_degraded_get(phases);
     co_await sim().delay(membership().check_cost_ns());
   }
 
-  // Load-ranked candidate order (power-of-two-choices among near-equal
-  // scores); natural order while the tracker is cold or load-aware
-  // selection is off.
+  // Codec-aware selection (an MDS code takes the first k live owners, data
+  // slots first; LRC skips dependent rows), load-ranked with
+  // power-of-two-choices among near-equal scores when load-aware.
   std::vector<std::size_t> preference =
-      load_preference(key, /*randomize=*/hedge_.load_aware,
+      load_preference(skey, /*randomize=*/hedge_.load_aware,
                       /*force=*/false);
   Result<std::vector<std::size_t>> selected =
       preference.empty()
@@ -592,9 +430,9 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
   if (!selected.ok()) co_return selected.status();
 
   // K non-blocking fragment fetches posted back-to-back from one CPU
-  // slice (Equation 8), exactly like the unhedged path.
-  const SimDur post_ns =
-      static_cast<SimDur>(k) * issue_cost(key.size() + 2);
+  // slice; the responses overlap (Equation 8). Hedges pay their own issue
+  // cost when they fire; failover replacements ride on this slice.
+  const SimDur post_ns = static_cast<SimDur>(k) * issue_cost(skey.size() + 2);
   co_await client().cpu().execute(post_ns);
   phases->request_ns += post_ns;
   obs::Tracer* const tr = tracer();
@@ -605,21 +443,18 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
 
   const SimTime fetch_t0 = sim().now();
   for (const std::size_t slot : *selected) {
-    issue_hedged_fetch(key, st, slot, false, phases->trace);
+    issue_fetch(skey, st, slot, false, phases->trace);
   }
 
   // Queue up to Δ hedges over the next-best candidates, fired after the
   // hedge delay if the op is still short of k arrivals.
   if (hedge_.delta > 0) {
+    std::vector<std::size_t> pool = preference;
+    if (pool.empty()) {
+      pool.resize(n);
+      std::iota(pool.begin(), pool.end(), std::size_t{0});
+    }
     std::vector<std::size_t> hedge_slots;
-    const std::vector<std::size_t> pool =
-        preference.empty()
-            ? [n] {
-                std::vector<std::size_t> natural(n);
-                std::iota(natural.begin(), natural.end(), std::size_t{0});
-                return natural;
-              }()
-            : preference;
     for (const std::size_t slot : pool) {
       if (hedge_slots.size() >= hedge_.delta) break;
       if (!st->attempted[slot] && st->available[slot]) {
@@ -627,13 +462,14 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
       }
     }
     if (!hedge_slots.empty()) {
-      sim().spawn(hedge_firer(this, key, st, std::move(hedge_slots),
+      sim().spawn(hedge_firer(this, skey, st, std::move(hedge_slots),
                               phases->trace, phases->trace_tid));
     }
   }
 
-  // Late-binding wait: complete on the first k decodable arrivals,
-  // failing over (load-aware) when fetches die.
+  // Late-binding wait: complete on the first k decodable arrivals, and
+  // fail over as soon as any fetch dies (dead owner, RPC timeout, or a
+  // miss on a live server) rather than when its siblings return.
   bool complete = false;
   std::vector<std::size_t> decode_set;
   for (;;) {
@@ -641,23 +477,21 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
       Result<std::vector<std::size_t>> fin =
           codec_->select_read_set(st->have);
       if (fin.ok()) {
-        decode_set = *fin;
+        decode_set = std::move(fin).value();
         complete = true;
         break;
       }
     }
     if (st->failed_any) {
+      // A failure is a degraded read even when the membership oracle
+      // claimed every owner was up; re-selection pays one more T_check.
       st->failed_any = false;
-      if (!degraded) {
-        degraded = true;
-        ++stats().degraded_gets;
-      }
-      phases->degraded = true;
+      mark_degraded_get(phases);
       co_await sim().delay(membership().check_cost_ns());
-      // Failover re-selection consults the same load scores as the
-      // initial choice, so repeated retries spread over the survivors
-      // instead of piling onto the first one.
-      preference = load_preference(key, /*randomize=*/hedge_.load_aware,
+      // Failover re-selection always consults the load scores (when the
+      // tracker has learned any), so repeated retries spread over the
+      // survivors instead of piling onto the first one.
+      preference = load_preference(skey, /*randomize=*/hedge_.load_aware,
                                    /*force=*/true);
       Result<std::vector<std::size_t>> resel =
           preference.empty()
@@ -672,7 +506,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
                              obs::FlightEventType::kFailover, 0,
                              static_cast<std::uint32_t>(client().id()));
           }
-          issue_hedged_fetch(key, st, slot, false, phases->trace);
+          issue_fetch(skey, st, slot, false, phases->trace);
         }
       } else if (st->outstanding == 0) {
         break;  // not enough survivors and nothing in flight
@@ -703,8 +537,13 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
                         .fragment_size;
   }
   if (complete) {
-    for (const std::size_t slot : decode_set) {
-      if (st->hedge_slot[slot]) {
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      if (!st->have[slot]) continue;
+      if (std::find(decode_set.begin(), decode_set.end(), slot) ==
+          decode_set.end()) {
+        stats().hedge_wasted_bytes +=
+            st->frag[slot] ? st->frag[slot]->size() : 0;
+      } else if (st->hedge_slot[slot]) {
         ++stats().hedge_wins;
         if (flight() != nullptr) {
           flight()->record(sim().now(), node_of(st->owner[slot]),
@@ -713,88 +552,73 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
         }
       }
     }
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      if (!st->have[slot]) continue;
-      if (std::find(decode_set.begin(), decode_set.end(), slot) ==
-          decode_set.end()) {
-        stats().hedge_wasted_bytes +=
-            st->frag[slot] ? st->frag[slot]->size() : 0;
-      }
-    }
   }
   if (tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
                  fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
   }
   if (!complete || !st->meta) {
-    if (!client_encodes(mode_)) {
-      // Server-side encode may still be distributing this key's fragments;
-      // the stager resolves the race (read-after-write) — see
-      // get_client_decode.
-      ++stats().fallback_gets;
-      if (flight() != nullptr) {
-        flight()->record(sim().now(), client().id(),
-                         obs::FlightEventType::kFallback);
-      }
-      co_return co_await get_server_decode(std::move(key), phases);
-    }
     co_return Status{st->worst, "missing fragments"};
   }
+  co_return AnyK{std::move(decode_set), std::move(st->frag),
+                 st->meta->original_size};
+}
 
-  const std::size_t value_size = st->meta->original_size;
+sim::Task<Result<std::span<const ConstByteSpan>>> ErasureEngine::decode_data(
+    AnyK got, OpPhases* phases) {
+  const std::size_t k = codec_->k();
+  const std::size_t n = codec_->n();
   std::size_t missing_data = k;
-  for (const std::size_t slot : decode_set) {
+  for (const std::size_t slot : got.decode_set) {
     if (slot < k) --missing_data;
   }
 
   if (missing_data > 0) {
+    // T_decode on the client CPU, only on the degraded path.
     const SimDur decode_ns =
-        cost_.decode_ns(value_size, static_cast<unsigned>(missing_data));
+        cost_.decode_ns(got.value_size, static_cast<unsigned>(missing_data));
     co_await client().cpu().execute(decode_ns);
     phases->compute_ns += decode_ns;
-    if (tr != nullptr) {
+    if (obs::Tracer* const tr = tracer(); tr != nullptr) {
       tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
                    sim().now() - decode_ns, decode_ns,
                    phases->trace.trace_id);
     }
   }
+  if (!ctx().materialize) co_return std::span<const ConstByteSpan>{};
 
-  const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, codec_->alignment());
-  if (!ctx().materialize) co_return Bytes(value_size);
-
-  // Same engine-wide scratch as the unhedged path; the fill-and-consume
-  // region below is synchronous (no co_await), so it is race-free.
+  // Rebuild missing data fragments for real. Runs on the engine-wide
+  // scratch (no co_await from here until the caller has consumed `data`):
+  // fetched fragments copy-assign into slots whose capacity persists across
+  // ops, and absent slots are zero-filled in place for the reconstruct
+  // kernels.
+  const std::size_t fragment_size =
+      ec::make_layout(got.value_size, k, codec_->alignment()).fragment_size;
   DecodeScratch& sc = scratch_;
   sc.storage.resize(n);
   sc.present.assign(n, false);
-  for (const std::size_t slot : decode_set) {
-    if (!st->frag[slot]) continue;
-    sc.storage[slot] = *st->frag[slot];
+  for (const std::size_t slot : got.decode_set) {
+    if (!got.frag[slot]) continue;
+    sc.storage[slot] = *got.frag[slot];
     sc.present[slot] = true;
   }
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!sc.present[slot]) {
-      sc.storage[slot].assign(layout.fragment_size, std::byte{0});
-    }
+    if (!sc.present[slot]) sc.storage[slot].assign(fragment_size, std::byte{0});
   }
   sc.spans.assign(sc.storage.begin(), sc.storage.end());
   if (missing_data > 0) {
     const Status s = codec_->reconstruct_data(sc.spans, sc.present);
     if (!s.ok()) co_return s;
   }
-  std::vector<ConstByteSpan> data(
-      sc.storage.begin(), sc.storage.begin() + static_cast<std::ptrdiff_t>(k));
-  co_return ec::join_fragments(data, layout);
+  sc.data.assign(sc.storage.begin(),
+                 sc.storage.begin() + static_cast<std::ptrdiff_t>(k));
+  co_return std::span<const ConstByteSpan>(sc.data);
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
                                                           OpPhases* phases) {
   const LiveSlot ls = co_await pick_live_slot(key);
-  if (ls.degraded) {
-    ++stats().degraded_gets;
-    phases->degraded = true;
-  }
+  if (ls.degraded) mark_degraded_get(phases);
   if (!ls.slot) {
     co_return Status{StatusCode::kUnavailable, "no live server"};
   }
@@ -1117,7 +941,6 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
 
   const std::size_t k = codec_->k();
   const std::size_t m = codec_->m();
-  const std::size_t n = codec_->n();
   bool degraded = false;
 
   // Locator query at every live directory owner in parallel: any kOk with
@@ -1143,8 +966,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     lookup_owners.push_back(owner);
   }
   if (degraded) {
-    ++stats().degraded_gets;
-    phases->degraded = true;
+    mark_degraded_get(phases);
     co_await sim().delay(membership().check_cost_ns());
   }
   if (lookups.empty()) {
@@ -1176,17 +998,10 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   }
   if (!loc) {
     if (notfound == lookups.size()) {
-      // Definitively unpacked: legacy per-key path (hedged when on).
-      if (hedge_.enabled()) {
-        co_return co_await get_client_decode_hedged(std::move(key), phases);
-      }
+      // Definitively unpacked: the per-key path.
       co_return co_await get_client_decode(std::move(key), phases);
     }
-    if (!degraded) {
-      ++stats().degraded_gets;
-      degraded = true;
-    }
-    phases->degraded = true;
+    mark_degraded_get(phases);
     co_return Status{StatusCode::kUnavailable, "locator unreachable"};
   }
   ++stats().packed_get_hits;
@@ -1199,8 +1014,6 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
 
   // Healthy path: fetch only the whole data fragments covering the
   // sub-slot range (usually one, at most two for threshold-sized values).
-  std::vector<SharedBytes> frag(n);
-  std::vector<bool> have(n, false);
   bool healthy = true;
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
     if (!membership().up(ring().slot_index(loc->stripe, slot))) {
@@ -1215,7 +1028,6 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     phases->request_ns += post_ns;
     const SimTime fetch_t0 = sim().now();
     std::vector<sim::Future<kv::Response>> pending;
-    std::vector<std::size_t> pending_slots;
     for (std::size_t slot = range.first; slot <= range.last; ++slot) {
       kv::Request req;
       req.verb = kv::Verb::kGet;
@@ -1223,16 +1035,14 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
       req.trace = phases->trace;
       pending.push_back(client().guarded_future(
           node_of(ring().slot_index(loc->stripe, slot)), std::move(req)));
-      pending_slots.push_back(slot);
     }
+    std::vector<SharedBytes> frag(range.count());
     for (std::size_t i = 0; i < pending.size(); ++i) {
       kv::Response resp = co_await pending[i].wait();
-      const std::size_t slot = pending_slots[i];
       if (resp.code == StatusCode::kOk) {
-        load_.observe_rtt(ring().slot_index(loc->stripe, slot),
+        load_.observe_rtt(ring().slot_index(loc->stripe, range.first + i),
                           sim().now() - fetch_t0, resp.queue_depth);
-        frag[slot] = std::move(resp.value);
-        have[slot] = true;
+        frag[i] = std::move(resp.value);
       } else {
         healthy = false;
       }
@@ -1245,127 +1055,25 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
       if (!ctx().materialize) co_return Bytes(loc->len);
       std::vector<ConstByteSpan> spans;
       spans.reserve(range.count());
-      for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-        spans.push_back(*frag[slot]);
-      }
+      for (const SharedBytes& f : frag) spans.push_back(*f);
       co_return ec::extract_from_fragments(spans, range, layout, loc->offset,
                                            loc->len);
     }
   }
 
-  // Degraded: reconstruct the stripe's data from any k live fragments
-  // (whole-stripe decode), then splice the value out.
+  // Degraded: read the whole stripe through the any-k fetch, decode its
+  // data fragments, then splice the value out.
   ++stats().packed_degraded_gets;
-  if (!degraded) ++stats().degraded_gets;
-  phases->degraded = true;
-  co_await sim().delay(membership().check_cost_ns());
-
-  std::vector<bool> available(n, false);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    available[slot] =
-        membership().up(ring().slot_index(loc->stripe, slot));
-  }
-  Result<std::vector<std::size_t>> selected =
-      codec_->select_read_set(available);
-  if (!selected.ok()) co_return selected.status();
-  std::vector<std::size_t> chosen = *selected;
-
-  StatusCode worst = StatusCode::kNotFound;
-  bool complete = false;
-  const SimTime fetch_t0 = sim().now();
-  for (;;) {
-    std::vector<sim::Future<kv::Response>> pending;
-    std::vector<std::size_t> pending_slots;
-    std::size_t to_fetch = 0;
-    for (const std::size_t slot : chosen) {
-      if (!have[slot]) ++to_fetch;
-    }
-    if (to_fetch > 0) {
-      const SimDur post_ns = static_cast<SimDur>(to_fetch) *
-                             issue_cost(loc->stripe.size() + 2);
-      co_await client().cpu().execute(post_ns);
-      phases->request_ns += post_ns;
-    }
-    for (const std::size_t slot : chosen) {
-      if (have[slot]) continue;
-      kv::Request req;
-      req.verb = kv::Verb::kGet;
-      req.key = kv::chunk_key(loc->stripe, slot);
-      req.trace = phases->trace;
-      pending.push_back(client().guarded_future(
-          node_of(ring().slot_index(loc->stripe, slot)), std::move(req)));
-      pending_slots.push_back(slot);
-    }
-    bool failure = false;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      kv::Response resp = co_await pending[i].wait();
-      const std::size_t slot = pending_slots[i];
-      if (resp.code == StatusCode::kOk) {
-        frag[slot] = std::move(resp.value);
-        have[slot] = true;
-      } else {
-        worst = resp.code;
-        available[slot] = false;
-        failure = true;
-      }
-    }
-    if (!failure) {
-      complete = true;
-      break;
-    }
-    co_await sim().delay(membership().check_cost_ns());
-    selected = codec_->select_read_set(available);
-    if (!selected.ok()) break;
-    chosen = *selected;
-  }
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
-                 fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
-  }
-  if (!complete) co_return Status{worst, "missing stripe fragments"};
-
-  std::size_t missing_data = k;
-  for (const std::size_t slot : chosen) {
-    if (slot < k) --missing_data;
-  }
-  if (missing_data > 0) {
-    const SimDur decode_ns = cost_.decode_ns(
-        loc->stripe_bytes, static_cast<unsigned>(missing_data));
-    co_await client().cpu().execute(decode_ns);
-    phases->compute_ns += decode_ns;
-    if (tr != nullptr) {
-      tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
-                   sim().now() - decode_ns, decode_ns,
-                   phases->trace.trace_id);
-    }
-  }
+  mark_degraded_get(phases);
+  Result<AnyK> got = co_await fetch_any_k(loc->stripe, phases);
+  if (!got.ok()) co_return got.status();
+  const Result<std::span<const ConstByteSpan>> data =
+      co_await decode_data(std::move(*got), phases);
+  if (!data.ok()) co_return data.status();
   if (!ctx().materialize) co_return Bytes(loc->len);
-
-  DecodeScratch& sc = scratch_;
-  sc.storage.resize(n);
-  sc.present.assign(n, false);
-  for (const std::size_t slot : chosen) {
-    if (!frag[slot]) continue;
-    sc.storage[slot] = *frag[slot];
-    sc.present[slot] = true;
-  }
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!sc.present[slot]) {
-      sc.storage[slot].assign(layout.fragment_size, std::byte{0});
-    }
-  }
-  sc.spans.assign(sc.storage.begin(), sc.storage.end());
-  if (missing_data > 0) {
-    const Status s = codec_->reconstruct_data(sc.spans, sc.present);
-    if (!s.ok()) co_return s;
-  }
-  std::vector<ConstByteSpan> spans;
-  spans.reserve(range.count());
-  for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    spans.push_back(ConstByteSpan(sc.storage[slot]));
-  }
-  co_return ec::extract_from_fragments(spans, range, layout, loc->offset,
-                                       loc->len);
+  co_return ec::extract_from_fragments(
+      data->subspan(range.first, range.count()), range, layout, loc->offset,
+      loc->len);
 }
 
 }  // namespace hpres::resilience

@@ -10,6 +10,7 @@
 //              included for completeness; the paper sets it aside)
 #pragma once
 
+#include <span>
 #include <unordered_map>
 
 #include "ec/chunker.h"
@@ -43,12 +44,13 @@ class ErasureEngine final : public Engine {
  public:
   /// The codec must outlive the engine. Server-side modes additionally
   /// require every server to have ServerEcContext enabled (see
-  /// Cluster::enable_server_ec). `hedge` configures the hedged-read /
-  /// load-aware Get path; the default keeps the legacy byte-exact path.
-  /// `pack` configures the batched small-object write path (stripe packing
-  /// + group commit); the default (threshold 0) keeps every Set on the
-  /// legacy per-key path. Packing requires client-side encode AND decode
-  /// (kCeCd) — other modes ignore it.
+  /// Cluster::enable_server_ec). `hedge` adds delayed hedge fetches and
+  /// load-aware selection to the any-k fragment read; the default fetches
+  /// exactly k fragments in natural slot order. `pack` configures the
+  /// batched small-object write path (stripe packing + group commit); the
+  /// default (threshold 0) keeps every Set on the legacy per-key path.
+  /// Packing requires client-side encode AND decode (kCeCd) — other modes
+  /// ignore it.
   ErasureEngine(EngineContext ctx, const ec::Codec& codec,
                 ec::CostModel cost, EraMode mode, ArpeParams arpe = {},
                 HedgeParams hedge = {}, PackParams pack = {});
@@ -88,8 +90,35 @@ class ErasureEngine final : public Engine {
   sim::Task<Status> set_server_encode(kv::Key key, SharedBytes value,
                                       OpPhases* phases);
   // Get paths.
+  /// Per-key client-decode Get: fetch_any_k, decode_data, join. SE-CD falls
+  /// back to the server-side path when fragments are missing.
   sim::Task<Result<Bytes>> get_client_decode(kv::Key key, OpPhases* phases);
   sim::Task<Result<Bytes>> get_server_decode(kv::Key key, OpPhases* phases);
+
+  /// k fragments of one stripe (a per-key value, or a packed stripe) that
+  /// together decode it, as bound by fetch_any_k.
+  struct AnyK {
+    std::vector<std::size_t> decode_set;  ///< k decodable slots
+    std::vector<SharedBytes> frag;        ///< per slot; valid in decode_set
+    std::size_t value_size = 0;           ///< stripe payload bytes
+  };
+
+  /// The any-k erasure read (Equation 8, late binding) of the stripe stored
+  /// under `skey`: selects k slots (load-ranked when load-aware), posts
+  /// their fetches from one CPU slice, completes on the first k decodable
+  /// arrivals, fails over on the first failed fetch, fires up to Δ delayed
+  /// hedges when delta > 0, and cancels stragglers.
+  sim::Task<Result<AnyK>> fetch_any_k(kv::Key skey, OpPhases* phases);
+
+  /// The decode tail: charges T_decode when data fragments are missing,
+  /// rebuilds them in scratch_ and returns the k data fragments (empty in
+  /// size-only mode). The spans stay valid until the caller's next
+  /// co_await.
+  sim::Task<Result<std::span<const ConstByteSpan>>> decode_data(
+      AnyK got, OpPhases* phases);
+
+  /// Marks the Get degraded, counting it in degraded_gets once per op.
+  void mark_degraded_get(OpPhases* phases);
 
   // ---- Packed-stripe (batched small-object) write path ----------------
 
@@ -122,9 +151,9 @@ class ErasureEngine final : public Engine {
 
   /// Resolves a Get through the stripe locator directory: staging-map hit,
   /// else locator query at the key's directory owners, then a sub-slot
-  /// fragment-range fetch (whole-stripe degraded decode when owners of the
-  /// needed range are unreachable). Falls back to the legacy per-key path
-  /// when no locator exists.
+  /// fragment-range fetch. When owners of the needed range are down or a
+  /// range fetch fails, the whole stripe is read through fetch_any_k and
+  /// decoded. Falls back to the per-key path when no locator exists.
   sim::Task<Result<Bytes>> get_packed(kv::Key key, OpPhases* phases);
 
   /// Detaches the active stripe of `primary` and spawns its group commit.
@@ -146,19 +175,12 @@ class ErasureEngine final : public Engine {
   sim::Task<void> unlink_locator(kv::Key key,
                                  std::vector<sim::Future<kv::Response>>* out);
 
-  /// Late-binding variant of get_client_decode, taken when hedge().enabled():
-  /// issues the (load-ranked) primary k fetches plus up to Δ delayed hedges,
-  /// completes on the first k decodable arrivals, and cancels stragglers
-  /// through the RPC stale-response machinery.
-  sim::Task<Result<Bytes>> get_client_decode_hedged(kv::Key key,
-                                                    OpPhases* phases);
-
-  /// Shared per-op state between the hedged Get, its spawned per-fetch
+  /// Shared per-op state between fetch_any_k, its spawned per-fetch
   /// collectors and the hedge-firer. shared_ptr-held: collectors of
   /// never-resolving futures (crash-after-send with no RpcPolicy) may
   /// outlive the op.
-  struct HedgeFetchState {
-    HedgeFetchState(sim::Simulator& sim, std::size_t n)
+  struct FetchState {
+    FetchState(sim::Simulator& sim, std::size_t n)
         : progress(sim), frag(n), have(n, false), available(n, false),
           attempted(n, false), hedge_slot(n, false), rpc_of_slot(n, 0),
           owner(n, 0) {}
@@ -179,26 +201,25 @@ class ErasureEngine final : public Engine {
   };
 
   /// Awaits one fetch and folds the outcome into the shared state.
-  static sim::Task<void> hedged_collector(ErasureEngine* self,
-                                          std::shared_ptr<HedgeFetchState> st,
-                                          std::size_t slot, bool is_hedge,
-                                          sim::Future<kv::Response> fut,
-                                          SimTime issued_at);
+  static sim::Task<void> fetch_collector(ErasureEngine* self,
+                                         std::shared_ptr<FetchState> st,
+                                         std::size_t slot, bool is_hedge,
+                                         sim::Future<kv::Response> fut,
+                                         SimTime issued_at);
 
   /// Sleeps the hedge delay, then fires up to Δ extra fetches if the op is
   /// still short of k arrivals (borrowing spare ARPE buffers; suppressed
   /// when the pool is tight).
-  static sim::Task<void> hedge_firer(ErasureEngine* self, kv::Key key,
-                                     std::shared_ptr<HedgeFetchState> st,
+  static sim::Task<void> hedge_firer(ErasureEngine* self, kv::Key skey,
+                                     std::shared_ptr<FetchState> st,
                                      std::vector<std::size_t> hedge_slots,
                                      obs::TraceContext trace,
                                      std::uint64_t trace_tid);
 
   /// Issues one fragment fetch for `slot` and spawns its collector.
-  void issue_hedged_fetch(const kv::Key& key,
-                          const std::shared_ptr<HedgeFetchState>& st,
-                          std::size_t slot, bool is_hedge,
-                          const obs::TraceContext& trace);
+  void issue_fetch(const kv::Key& skey, const std::shared_ptr<FetchState>& st,
+                   std::size_t slot, bool is_hedge,
+                   const obs::TraceContext& trace);
 
   /// Candidate slot order by per-server load score (empty = natural order:
   /// tracker cold, or load-aware selection off and `force` false).
@@ -239,15 +260,17 @@ class ErasureEngine final : public Engine {
   /// read path asks for a load preference.
   NodeLoadTracker load_;
 
-  /// Reusable buffers for get_client_decode's materialize step. The region
-  /// that fills and consumes them is synchronous (no co_await between the
-  /// two), so one scratch per engine is race-free even with many in-flight
-  /// ops; reuse makes the fused decode path allocation-free per op once the
-  /// vectors reach steady-state capacity.
+  /// Reusable buffers for decode_data's materialize step. The region that
+  /// fills and consumes them is synchronous (no co_await between decode_data
+  /// filling them and its caller joining or extracting from `data`), so one
+  /// scratch per engine is race-free even with many in-flight ops; reuse
+  /// makes the fused decode path allocation-free per op once the vectors
+  /// reach steady-state capacity.
   struct DecodeScratch {
     std::vector<Bytes> storage;
     std::vector<ByteSpan> spans;
     std::vector<bool> present;
+    std::vector<ConstByteSpan> data;  ///< the k data fragments handed back
   };
   DecodeScratch scratch_;
 };

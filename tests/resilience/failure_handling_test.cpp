@@ -43,6 +43,58 @@ TEST_F(FailureHandlingTest, GetFailsOverWhenLiveServerMissesFragment) {
   run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
 }
 
+// An unhedged Get fails over as soon as one fetch fails, not when the rest
+// of its read set has answered: with one chosen fragment lost (its live
+// owner answers kNotFound at once) and another chosen owner slowed, the
+// replacement fetch overlaps the slow fetch instead of queueing behind it.
+TEST_F(FailureHandlingTest, FailoverStartsAtFirstFailedFetch) {
+  auto engine = make_engine(Design::kEraCeCd);
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> run(Engine* e, cluster::Cluster* cl) {
+      constexpr std::size_t kSize = 30'000;
+      // A twin key of the same length on the same owners times the slowed
+      // read without the lost fragment.
+      const kv::Key lost = "lost";
+      const std::size_t owner0 = cl->ring().slot_index(lost, 0);
+      const std::size_t owner1 = cl->ring().slot_index(lost, 1);
+      kv::Key twin;
+      for (int i = 0; twin.empty(); ++i) {
+        const kv::Key cand = "t" + std::to_string(100 + i);
+        if (cl->ring().slot_index(cand, 0) == owner0) twin = cand;
+      }
+      cl->fail_server(owner0);
+      const Bytes original = make_pattern(kSize, 5);
+      EXPECT_TRUE(
+          (co_await e->set(lost, make_shared_bytes(Bytes(original)))).ok());
+      cl->recover_server(owner0);  // back, but without its fragment
+      EXPECT_TRUE(
+          (co_await e->set(twin, make_shared_bytes(make_pattern(kSize, 6))))
+              .ok());
+
+      cl->server(owner1).set_slowdown(40.0);
+      SimTime t0 = cl->sim().now();
+      EXPECT_TRUE((co_await e->get(twin)).ok());
+      const SimDur slow_ns = cl->sim().now() - t0;
+
+      t0 = cl->sim().now();
+      const Result<Bytes> got = co_await e->get(lost);
+      const SimDur failover_ns = cl->sim().now() - t0;
+      EXPECT_TRUE(got.ok()) << got.status();
+      if (got.ok()) { EXPECT_EQ(*got, original); }
+      EXPECT_GE(e->stats().failover_fetches, 1u);
+      EXPECT_EQ(e->stats().degraded_gets, 1u);
+      // Waiting for the slow fetch before failing over costs the slow read,
+      // then T_check, then the replacement fetch. Failing over at once
+      // issues the replacement while the slow fetch is still out, so the
+      // Get beats the first two terms alone.
+      const SimDur check_ns = cl->membership().check_cost_ns();
+      EXPECT_LT(failover_ns, slow_ns + check_ns) << "slow read " << slow_ns;
+    }
+  };
+  run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
+}
+
 TEST_F(FailureHandlingTest, GetWorksWithExactlyKFragmentsLeft) {
   auto engine = make_engine(Design::kEraCeCd);
   cluster_.start();

@@ -157,40 +157,62 @@ TEST_F(HedgeTest, HedgeSuppressedWhenBufferPoolTight) {
 // fetched and WHEN, never the bytes returned. The same keys read through
 // an unhedged engine and through an aggressive hedged one (delta=2,
 // load-aware, zero delay) must agree exactly, across sizes that exercise
-// padding, sub-fragment tails and multi-MTU fragments.
+// padding, sub-fragment tails, multi-MTU fragments and packed stripes —
+// healthy, and with each server down in turn, so per-key and packed
+// degraded reads both go through the any-k fetch.
 TEST_F(HedgeTest, HedgingNeverChangesReturnedValues) {
-  auto plain = make_engine(Design::kEraCeCd);
+  const PackParams pack{.pack_threshold = 512};
+  auto plain = make_engine(Design::kEraCeCd, 3, {}, {}, pack);
   HedgeParams hedge;
   hedge.delta = 2;
   hedge.load_aware = true;
-  auto hedged = make_engine(Design::kEraCeCd, 3, {}, hedge);
+  auto hedged = make_engine(Design::kEraCeCd, 3, {}, hedge, pack);
   cluster_.start();
   struct Body {
-    static sim::Task<void> run(Engine* p, Engine* h) {
+    // Every third value is small enough to pack into a shared stripe.
+    static std::size_t size_of(std::size_t i) {
+      return i % 3 == 0 ? 100 + i * 13 : 1'000 + i * 4'337;
+    }
+    static sim::Task<void> run(Engine* p, Engine* h, cluster::Cluster* cl) {
       constexpr std::size_t kKeys = 24;
       for (std::size_t i = 0; i < kKeys; ++i) {
         const kv::Key key = "prop-" + std::to_string(i);
-        const Bytes original = make_pattern(1'000 + i * 4'337, i + 1);
+        const Bytes original = make_pattern(size_of(i), i + 1);
         const Status s =
             co_await p->set(key, make_shared_bytes(Bytes(original)));
         EXPECT_TRUE(s.ok()) << key << ": " << s;
       }
-      for (std::size_t i = 0; i < kKeys; ++i) {
-        const kv::Key key = "prop-" + std::to_string(i);
-        const Result<Bytes> via_plain = co_await p->get(key);
-        const Result<Bytes> via_hedged = co_await h->get(key);
-        EXPECT_TRUE(via_plain.ok()) << key << ": " << via_plain.status();
-        EXPECT_TRUE(via_hedged.ok()) << key << ": " << via_hedged.status();
-        if (via_plain.ok() && via_hedged.ok()) {
-          EXPECT_EQ(*via_hedged, *via_plain) << key;
+      std::uint64_t per_key_gets = 0;
+      // down == kServers: every server up.
+      for (std::size_t down = 0; down <= kServers; ++down) {
+        if (down < kServers) cl->fail_server(down);
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          const kv::Key key = "prop-" + std::to_string(i);
+          const Result<Bytes> via_plain = co_await p->get(key);
+          const Result<Bytes> via_hedged = co_await h->get(key);
+          EXPECT_TRUE(via_plain.ok()) << key << ": " << via_plain.status();
+          EXPECT_TRUE(via_hedged.ok()) << key << ": " << via_hedged.status();
+          if (via_plain.ok() && via_hedged.ok()) {
+            EXPECT_EQ(*via_hedged, *via_plain) << key << " down " << down;
+          }
+          if (i % 3 != 0) ++per_key_gets;
         }
+        if (down < kServers) cl->recover_server(down);
       }
-      // The hedged engine really took the hedged path throughout.
-      EXPECT_EQ(h->stats().hedged_gets, kKeys);
-      EXPECT_EQ(h->stats().get_failures, 0u);
+      // The hedged engine really hedged every per-key read, and every
+      // packed value was read degraded at least once (while its range
+      // owner was down). A degraded Get counts once, however many of its
+      // stages (locator lookup, per-key fallback, failover) worked around
+      // the dead server, and the healthy pass counts none.
+      EXPECT_GE(h->stats().hedged_gets, per_key_gets);
+      for (const Engine* e : {p, h}) {
+        EXPECT_EQ(e->stats().get_failures, 0u);
+        EXPECT_GE(e->stats().packed_degraded_gets, kKeys / 3);
+        EXPECT_LE(e->stats().degraded_gets, e->stats().gets - kKeys);
+      }
     }
   };
-  run_sim(cluster_.sim(), Body::run, plain.get(), hedged.get());
+  run_sim(cluster_.sim(), Body::run, plain.get(), hedged.get(), &cluster_);
 }
 
 // Degraded reads stay correct on the hedged path: with a fragment owner

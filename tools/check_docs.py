@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (stdlib only; CI runs this).
 
-Two checks over the user-facing markdown:
+Four checks over the user-facing markdown:
 
 1. Every relative link target in README.md / DESIGN.md / EXPERIMENTS.md /
    ROADMAP.md / docs/*.md resolves to a file or directory in the repo
@@ -14,6 +14,10 @@ Two checks over the user-facing markdown:
    linked from README.md or DESIGN.md (directly or via another doc
    under docs/) — and listed in DOCS above so its own links are
    checked. A doc nobody links is a doc nobody reads.
+4. Every backticked scoped citation (``Class::member``,
+   ``ns::Class::member``) in the checked docs names identifiers that exist
+   under bench/, tools/, src/, tests/ or examples/ — a renamed or deleted
+   symbol must take its citations with it. ``std::`` names are skipped.
 
 Exit code 0 = clean; 1 = problems (each printed one per line).
 """
@@ -37,6 +41,9 @@ SOURCE_DIRS = ["bench", "tools", "src", "tests", "examples"]
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]+")
 ENV_RE = re.compile(r"\bHPRES_[A-Z0-9_]+\b")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+SCOPED_RE = re.compile(r"\b(?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def check_links(errors: list) -> None:
@@ -80,6 +87,24 @@ def check_flags(errors: list) -> None:
     for env in sorted(set(ENV_RE.findall(text))):
         if env not in corpus:
             errors.append(f"docs/TUNING.md: env var {env} not found in sources")
+
+
+def check_symbols(errors: list) -> None:
+    identifiers = set(IDENT_RE.findall(source_corpus()))
+    for doc in DOCS:
+        path = REPO / doc
+        if not path.is_file():
+            continue
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            for span in CODE_SPAN_RE.findall(line):
+                for name in SCOPED_RE.findall(span):
+                    parts = name.replace("~", "").split("::")
+                    if parts[0] == "std":
+                        continue
+                    missing = [p for p in parts if p not in identifiers]
+                    if missing:
+                        errors.append(f"{doc}:{n}: `{name}` names no symbol"
+                                      f" in the sources ({', '.join(missing)})")
 
 
 def check_orphans(errors: list) -> None:
@@ -130,6 +155,7 @@ def main() -> int:
     errors = []
     check_links(errors)
     check_flags(errors)
+    check_symbols(errors)
     check_orphans(errors)
     for e in errors:
         print(e)
