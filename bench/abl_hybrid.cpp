@@ -50,7 +50,7 @@ Point run_engine(resilience::Engine* engine, cluster::Cluster* cluster,
                  sim::Simulator* sim, std::uint64_t ops) {
   Point point;
   sim->spawn(mixed_workload(sim, engine, cluster, ops, &point));
-  sim->run();
+  cluster->run();
   return point;
 }
 

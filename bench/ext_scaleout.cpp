@@ -13,8 +13,9 @@
 // record and a host-side audit cross-checks the moved-key set against
 // HashRing::moved_ranges on the before/after rings.
 //
-// Works in oracle mode (byte-identical replays; CI diffs two seeds) and
-// sharded mode (cutover rides the runtime's quiesce hooks).
+// Works in oracle and sharded mode alike: the cutover rides the runtime's
+// quiesce hooks, and a fixed shard count replays byte-identically (CI
+// diffs two same-seed runs).
 #include <cstdio>
 #include <memory>
 #include <optional>

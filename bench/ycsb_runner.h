@@ -39,7 +39,8 @@ struct YcsbRun {
   /// Simulator events executed over the whole run (all shards).
   std::uint64_t sim_events = 0;
   /// Runtime execution profile (per-shard events / barrier stall / lane
-  /// traffic, window advance stats). One shard, no rounds in oracle mode.
+  /// traffic, window advance stats). A hook-free oracle run takes no
+  /// round.
   sim::RuntimeProfile profile;
 
   [[nodiscard]] double throughput_ops_s() const {

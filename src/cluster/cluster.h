@@ -78,7 +78,7 @@ class Cluster {
   [[nodiscard]] const kv::HashRing& ring() const noexcept { return ring_; }
   /// Mutable ring access for the placement plane (PlacementManager
   /// cutover). Harness code must not mutate the ring while shards run —
-  /// with shards > 1 mutations go through a runtime quiesce hook.
+  /// mutations go through a runtime quiesce hook.
   [[nodiscard]] kv::HashRing& mutable_ring() noexcept { return ring_; }
   [[nodiscard]] kv::Membership& membership() noexcept { return membership_; }
   [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
@@ -192,12 +192,8 @@ class Cluster {
   /// Quiesced simulated time: max over shard clocks. Between runs (or from
   /// a quiesce hook) every shard is parked, so this is THE cluster time in
   /// parallel mode; in oracle mode it is sim().now().
-  [[nodiscard]] SimTime now_quiesced() noexcept {
-    SimTime t = 0;
-    for (std::size_t s = 0; s < runtime_.num_shards(); ++s) {
-      t = std::max(t, runtime_.shard(s).now());
-    }
-    return t;
+  [[nodiscard]] SimTime now_quiesced() const noexcept {
+    return runtime_.now();
   }
 
   /// Registers the fabric, every server store, and every client's stats
@@ -209,10 +205,11 @@ class Cluster {
   /// Starts every node's dispatch loop. Call once, before running.
   void start();
 
-  /// Runs the simulation to quiescence; returns final simulated time. In
-  /// oracle mode this is the classic single event loop; with shards > 1 it
-  /// runs all shard loops conservatively in parallel and refreshes the
-  /// merged fabric counters afterwards.
+  /// Runs the simulation to quiescence; returns final simulated time. One
+  /// shard runs inline (hook-free: the classic single event loop); with
+  /// shards > 1 it runs all shard loops conservatively in parallel and
+  /// refreshes the merged fabric counters afterwards. Quiesce hooks fire
+  /// only through here, never through sim().run().
   SimTime run() {
     const SimTime end = runtime_.run();
     fabric_.merge_stats();

@@ -23,17 +23,14 @@ PlacementManager::PlacementManager(Cluster& cluster, const ec::Codec& codec,
          ctx_.ring == &cluster.ring() &&
          "coordinator context must reference the cluster's live ring");
   view_.epoch = cluster.ring().epoch();
-  if (cluster.num_shards() > 1) {
-    // Ring/view mutations are read lock-free by every shard, so with real
-    // threads they apply from a quiesce hook while all shards are parked.
-    hook_id_ = cluster.runtime().add_quiesce_hook(
-        [this](SimTime min_next) { return on_quiesce(min_next); });
-    hook_armed_ = true;
-  }
+  // Ring/view mutations are read lock-free by every shard, so they apply
+  // from a quiesce hook while all shards are parked.
+  hook_id_ = cluster.runtime().add_quiesce_hook(
+      [this](SimTime min_next) { return on_quiesce(min_next); });
 }
 
 PlacementManager::~PlacementManager() {
-  if (hook_armed_) cluster_->runtime().remove_quiesce_hook(hook_id_);
+  cluster_->runtime().remove_quiesce_hook(hook_id_);
 }
 
 void PlacementManager::register_metrics(obs::MetricsRegistry& reg,
@@ -68,14 +65,9 @@ sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
   const SimTime t0 = ctx_.sim->now();
 
   // Phase 1 — cutover: swap the live ring and bump the epoch.
-  if (cluster_->num_shards() > 1) {
-    pending_server_ = server;
-    pending_join_ = join;
-    pending_ = Pending::kCutover;
-    co_await await_applied();
-  } else {
-    apply_cutover(server, join);
-  }
+  pending_server_ = server;
+  pending_join_ = join;
+  co_await await_applied(Pending::kCutover);
 
   // Phase 2 — stream the new epoch to every live server. From each ack on,
   // that server bounces writes still stamped with the old epoch.
@@ -102,12 +94,7 @@ sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
 
   // Phase 4 — finish: drop the transition flag (and with it the engines'
   // prev-ring fallback path).
-  if (cluster_->num_shards() > 1) {
-    pending_ = Pending::kFinish;
-    co_await await_applied();
-  } else {
-    apply_finish();
-  }
+  co_await await_applied(Pending::kFinish);
   ++stats_.changes;
   if (tr != nullptr) {
     tr->complete(ctx_.trace_pid, tid, join ? "placement/join"
@@ -117,43 +104,39 @@ sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
   changing_ = false;
 }
 
-void PlacementManager::apply_cutover(std::size_t server, bool join) {
-  prev_ring_ = cluster_->ring();
-  kv::HashRing& live = cluster_->mutable_ring();
-  if (join) {
-    live.add_server(server);
-  } else {
-    live.remove_server(server);
-  }
-  view_.epoch = live.epoch();
-  view_.prev = &prev_ring_;
-  view_.in_transition = true;
-}
-
-void PlacementManager::apply_finish() {
-  view_.in_transition = false;
-  view_.prev = nullptr;
-}
-
-sim::Task<void> PlacementManager::await_applied() {
+sim::Task<void> PlacementManager::await_applied(Pending p) {
+  pending_ = p;
   while (pending_ != Pending::kNone) {
     co_await ctx_.sim->delay(params_.poll_ns);
   }
 }
 
 SimTime PlacementManager::on_quiesce(SimTime /*min_next*/) {
-  // Hooks run at every round barrier, so a pending mutation published by
+  // Hooks run at every round boundary, so a pending mutation published by
   // the coordinator coroutine lands within one lookahead window. Flag
   // flips and ring rebuilds only — no events are scheduled here.
   switch (pending_) {
     case Pending::kNone:
       break;
-    case Pending::kCutover:
-      apply_cutover(pending_server_, pending_join_);
+    case Pending::kCutover: {
+      // Swap the live ring to the new active set, snapshot the old one,
+      // bump the epoch and raise in_transition.
+      prev_ring_ = cluster_->ring();
+      kv::HashRing& live = cluster_->mutable_ring();
+      if (pending_join_) {
+        live.add_server(pending_server_);
+      } else {
+        live.remove_server(pending_server_);
+      }
+      view_.epoch = live.epoch();
+      view_.prev = &prev_ring_;
+      view_.in_transition = true;
       pending_ = Pending::kNone;
       break;
-    case Pending::kFinish:
-      apply_finish();
+    }
+    case Pending::kFinish:  // the transition is over
+      view_.in_transition = false;
+      view_.prev = nullptr;
       pending_ = Pending::kNone;
       break;
   }

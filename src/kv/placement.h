@@ -2,8 +2,8 @@
 //
 // A single authority (cluster::PlacementManager) owns one PlacementView per
 // cluster and hands out const pointers; it mutates the view only at
-// quiesce-safe points (inline in oracle mode, from a runtime quiesce hook
-// when sharded), so readers on any shard always observe a consistent
+// quiesce-safe points (from a runtime quiesce hook, at any shard count),
+// so readers on any shard always observe a consistent
 // {epoch, ring} pair without locks.
 #pragma once
 

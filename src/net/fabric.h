@@ -22,9 +22,9 @@
 // Mutable state is strictly shard-owned during parallel runs: the sender's
 // shard owns tx NIC state and send-side counters, the receiver's shard owns
 // rx NIC state, inboxes, and delivery counters. Topology state (up/loss
-// flags) is read-only while shards run; fault injection mutates it either
-// in oracle mode or from a ShardRuntime quiesce hook (every shard thread
-// parked, the barrier publishes the writes).
+// flags) is read-only while shards run; fault injection mutates it from a
+// ShardRuntime quiesce hook (every shard thread parked, the barrier
+// publishes the writes).
 //
 // Observability under sharding follows the same single-writer rule: each
 // shard's state carries its own tracer / health-signals / flight-recorder

@@ -48,11 +48,13 @@ ShardRuntime::ShardRuntime(std::size_t shards, SimDur lookahead_ns)
 std::size_t ShardRuntime::add_quiesce_hook(QuiesceHook hook) {
   assert(hook && "quiesce hook must be callable");
   hooks_.push_back(std::move(hook));
+  ++live_hooks_;
   return hooks_.size() - 1;
 }
 
 void ShardRuntime::remove_quiesce_hook(std::size_t id) {
   assert(id < hooks_.size());
+  if (hooks_[id]) --live_hooks_;
   hooks_[id] = nullptr;  // slot ids stay stable for other registrants
 }
 
@@ -76,6 +78,12 @@ RuntimeProfile ShardRuntime::profile() const {
     out.per_shard.push_back(p);
   }
   return out;
+}
+
+SimTime ShardRuntime::now() const noexcept {
+  SimTime t = 0;
+  for (const auto& s : shards_) t = std::max(t, s->now());
+  return t;
 }
 
 std::uint64_t ShardRuntime::events_executed() const noexcept {
@@ -152,9 +160,11 @@ void ShardRuntime::compute_window() noexcept {
     done_.store(true, std::memory_order_relaxed);
     return;
   }
-  SimTime end = min_next > Simulator::kNever - lookahead_
-                    ? Simulator::kNever
-                    : min_next + lookahead_;
+  // A one-shard runtime may carry a zero lookahead; its windows still
+  // advance by at least one instant per round.
+  const SimDur step = std::max<SimDur>(lookahead_, 1);
+  SimTime end = min_next > Simulator::kNever - step ? Simulator::kNever
+                                                    : min_next + step;
   if (cap < end) end = cap;
   if (end != Simulator::kNever) {
     // Sim-time gained this round; hook caps shorten it deterministically.
@@ -175,19 +185,31 @@ void ShardRuntime::compute_window() noexcept {
   rounds_.fetch_add(1, std::memory_order_relaxed);
 }
 
-SimTime ShardRuntime::run() {
-  if (!parallel()) {
-    // Oracle mode: the plain single-threaded event loop, byte-identical to
-    // the pre-shard runtime. Posts (none from the fabric in this mode) are
-    // still honoured so tests can exercise the API uniformly. Quiesce hooks
-    // never fire here — oracle users keep their in-sim coroutines.
-    const auto t0 = std::chrono::steady_clock::now();
+SimTime ShardRuntime::run_inline() {
+  // Posts (none from the fabric at one shard) are still honoured so tests
+  // can exercise the API uniformly.
+  Simulator& sim = *shards_[0];
+  const auto t0 = std::chrono::steady_clock::now();
+  if (live_hooks_ == 0) {
     drain(0);
-    const SimTime end = shards_[0]->run();
-    prof_[0].p.busy_wall_ns +=
-        wall_ns_since(t0, std::chrono::steady_clock::now());
-    return end;
+    sim.run();  // unbounded window: the whole run, no round
+  } else {
+    done_.store(false, std::memory_order_relaxed);
+    for (;;) {
+      drain(0);
+      next_time_[0].store(sim.next_event_time(), std::memory_order_relaxed);
+      compute_window();
+      if (done_.load(std::memory_order_relaxed)) break;
+      sim.run_before(window_.load(std::memory_order_relaxed));
+    }
   }
+  prof_[0].p.busy_wall_ns +=
+      wall_ns_since(t0, std::chrono::steady_clock::now());
+  return sim.now();
+}
+
+SimTime ShardRuntime::run() {
+  if (!parallel()) return run_inline();
   const std::size_t n = shards_.size();
   done_.store(false, std::memory_order_relaxed);
 

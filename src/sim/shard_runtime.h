@@ -21,8 +21,10 @@
 // then per-lane FIFO), independent of thread interleaving. Different shard
 // counts are statistically equivalent, not bit-identical: cross-shard
 // receive-side NIC contention resolves in arrival order rather than send
-// order. `shards == 1` is the deterministic oracle mode — a single inline
-// event loop, zero threads, byte-identical to the pre-shard runtime.
+// order. `shards == 1` is the deterministic oracle mode: the same round
+// loop, inline, with no threads and no barrier. Hook-free, its window is
+// unbounded (one Simulator::run(), no round), and a window boundary never
+// moves its clock into empty time, so run() returns the last event's time.
 #pragma once
 
 #include <atomic>
@@ -59,7 +61,7 @@ struct ShardProfile {
 struct RuntimeProfile {
   std::size_t shards = 0;
   SimDur lookahead_ns = 0;
-  std::uint64_t rounds = 0;       ///< barrier rounds (0 in oracle mode)
+  std::uint64_t rounds = 0;       ///< window rounds (0 if hook-free oracle)
   SimDur min_advance_ns = 0;      ///< smallest per-round sim-time advance
   SimDur max_advance_ns = 0;
   double mean_advance_ns = 0.0;
@@ -101,11 +103,16 @@ class ShardRuntime {
     return *shards_[s];
   }
 
+  /// Max over the shard clocks: the runtime's time between run() calls and
+  /// inside a quiesce hook, when every shard is parked.
+  [[nodiscard]] SimTime now() const noexcept;
+
   /// Sum of events executed across all shards (diagnostic; read at
   /// quiescence).
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
 
-  /// Barrier rounds completed by parallel runs (diagnostic).
+  /// Window rounds completed (diagnostic). A hook-free one-shard run takes
+  /// none.
   [[nodiscard]] std::uint64_t rounds() const noexcept {
     return rounds_.load(std::memory_order_relaxed);
   }
@@ -119,16 +126,18 @@ class ShardRuntime {
 
   /// Runs every shard to global quiescence: no shard has a pending event
   /// and no cross-shard message is in flight. Returns the final simulated
-  /// time (identical on every shard up to the last window boundary).
+  /// time: the last event's time at one shard, the last window boundary
+  /// (identical on every shard) at N.
   /// Callable repeatedly — the harness pattern "spawn, run, spawn, run"
   /// works exactly as with a single Simulator.
   SimTime run();
 
-  /// A quiesce hook runs inside the barrier completion step of every
-  /// parallel round — all shard threads are parked, so the hook may touch
-  /// any cross-shard state (topology flags, membership, observability
-  /// sinks) without synchronization; the barrier's phase transition
-  /// publishes its writes to every shard. Contract:
+  /// A quiesce hook runs between the windows of every round, at any shard
+  /// count. With N shards it runs inside the barrier completion step — all
+  /// shard threads are parked, so the hook may touch any cross-shard state
+  /// (topology flags, membership, observability sinks) without
+  /// synchronization, and the barrier's phase transition publishes its
+  /// writes to every shard. Contract:
   ///   * the hook receives min_next, the earliest pending event time across
   ///     all shards (kNever at quiescence);
   ///   * it must apply every pending action due at or before min_next, in
@@ -136,13 +145,14 @@ class ShardRuntime {
   ///     min_next == kNever it must flush everything that remains;
   ///   * it returns the earliest remaining action time (> min_next), or
   ///     kNever when none remain; the next window is capped at that time,
-  ///     so no simulated event at or after it runs before the hook acts;
+  ///     so no simulated event at or after it runs before the hook acts
+  ///     (and an action applies before events at its own instant);
+  ///   * a flag set mid-window (a "kNever" hook that polls state) is seen
+  ///     at the next round, within one lookahead window;
   ///   * it must not throw and must not schedule simulator events (flag
   ///     flips and recorder writes only) — the round's horizon was computed
   ///     before the hook ran.
-  /// Oracle (shards <= 1) runs never invoke hooks; single-shard users keep
-  /// their classic in-sim coroutines, byte-identical to the pre-hook
-  /// runtime. Hooks run in registration order. Returns an id for
+  /// Hooks run in registration order. Returns an id for
   /// remove_quiesce_hook(); register/remove only between run() calls.
   using QuiesceHook = std::function<SimTime(SimTime min_next)>;
   std::size_t add_quiesce_hook(QuiesceHook hook);
@@ -210,11 +220,14 @@ class ShardRuntime {
   /// its due time, in canonical (due, source shard, FIFO) order.
   void drain(std::size_t s);
 
-  /// Barrier completion step: runs the quiesce hooks, then computes the
-  /// next window (or termination) from the published per-shard horizons,
-  /// capped at the earliest pending hook action. Runs on exactly one
-  /// thread while the others are blocked in the barrier.
+  /// Round step: runs the quiesce hooks, then computes the next window (or
+  /// termination) from the published per-shard horizons, capped at the
+  /// earliest pending hook action. Runs on exactly one thread while the
+  /// others are blocked in the barrier.
   void compute_window() noexcept;
+
+  /// The one-shard round loop: inline, no threads, no barrier.
+  SimTime run_inline();
 
   /// False-sharing pad: each shard's profile lives on its own cache line.
   struct alignas(64) PaddedProfile {
@@ -226,6 +239,7 @@ class ShardRuntime {
   std::vector<std::vector<Msg>> scratch_;     // per-shard drain buffer
   SimDur lookahead_;
   std::vector<QuiesceHook> hooks_;  ///< removed slots stay as empty fns
+  std::size_t live_hooks_ = 0;      ///< registered and not yet removed
   std::vector<PaddedProfile> prof_;
 
   // Round state. Plain-ish values written either before a barrier arrival

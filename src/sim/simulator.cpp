@@ -75,8 +75,13 @@ SimTime Simulator::run_until(SimTime deadline) {
   return now_;
 }
 
-SimTime Simulator::run_window(SimTime end) {
+SimTime Simulator::run_before(SimTime end) {
   while (!idle() && next_event_time() < end) run_next();
+  return now_;
+}
+
+SimTime Simulator::run_window(SimTime end) {
+  run_before(end);
   if (now_ < end) now_ = end;
   return now_;
 }

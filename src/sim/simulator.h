@@ -92,8 +92,13 @@ class Simulator {
   /// `deadline`; events after the deadline stay queued.
   SimTime run_until(SimTime deadline);
 
-  /// Conservative-window run: executes every event strictly before `end`,
-  /// leaves events at or after `end` queued, then advances the clock to
+  /// Executes every event strictly before `end` and leaves events at or
+  /// after `end` queued. The clock stays at the last event run, so the
+  /// window boundary never moves it into empty time (the one-shard runtime
+  /// loop relies on this).
+  SimTime run_before(SimTime end);
+
+  /// Conservative-window run: run_before(`end`), then advances the clock to
   /// `end`. The strict bound is what makes the shard lookahead proof work:
   /// a message sent by a peer shard inside the same window is due at
   /// >= `end`, so it can still be merged at its exact timestamp afterwards.

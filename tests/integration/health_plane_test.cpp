@@ -203,5 +203,64 @@ TEST(HealthPlane, SameSeedSamePlaneIsDeterministic) {
   ASSERT_EQ(a.metrics_json, b.metrics_json);
 }
 
+/// Issues `n` Gets from client 0 to server `server`, one after another.
+sim::Task<void> probe_server(cluster::Cluster* cl, std::size_t server,
+                             int n) {
+  for (int i = 0; i < n; ++i) {
+    kv::Request req;
+    req.verb = kv::Verb::kGet;
+    req.key = "probe" + std::to_string(i);
+    (void)co_await cl->client(0).invoke(cl->server_nodes()[server],
+                                        std::move(req));
+  }
+}
+
+// Regression: a monitor and a fault schedule destroyed with actions still
+// pending must leave nothing behind. Later runs on the same cluster — with
+// responses and timeouts flowing through the rpc/fabric signal hooks —
+// must apply no fault and take no tick (and, under ASan, touch no freed
+// memory), at one shard and at three.
+TEST(HealthPlane, DestroyedPlaneLeavesNoPendingWork) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(shards);
+    cluster::Cluster cl(cluster::ClusterConfig{
+        .num_servers = kServers, .num_clients = kClients, .shards = shards});
+    cl.set_rpc_policy(test_policy());
+    obs::FlightRecorder flight(256);
+    cl.set_flight_recorder(&flight);
+    cl.start();
+    obs::FaultLog fault_log;
+    {
+      cluster::HealthMonitor monitor(cl, test_monitor_params());
+      monitor.arm();
+      cluster::FaultSchedule faults(cl, /*detection_lag_ns=*/200'000);
+      faults.set_fault_log(&fault_log);
+      faults.add_crash(1 * units::kMillisecond, 1);
+      faults.add_restart(2 * units::kMillisecond, 1);
+      faults.arm();
+    }
+    // Server 2 silently eats every message: the probes to it time out,
+    // the probes to server 0 succeed; together they span the dead
+    // schedule's crash and restart instants and many monitor intervals.
+    cl.fabric().set_node_loss(cl.server_nodes()[2], 1.0);
+    cl.sim_for_client(0).spawn([](cluster::Cluster* c) -> sim::Task<void> {
+      co_await probe_server(c, 2, 4);
+      co_await probe_server(c, 0, 8);
+    }(&cl));
+    EXPECT_GT(cl.run(), 2 * units::kMillisecond);
+    EXPECT_GT(cl.client(0).rpc_stats().timeouts, 0u);
+    EXPECT_TRUE(fault_log.stamps().empty());
+    EXPECT_TRUE(cl.fabric().node_up(cl.server_nodes()[1]));
+    EXPECT_TRUE(cl.membership().up(1));
+    cl.merge_obs_domains();
+    for (std::size_t n = 0; n < flight.num_nodes(); ++n) {
+      for (const obs::FlightRecord& r : flight.events(n)) {
+        EXPECT_NE(r.type, obs::FlightEventType::kQueueDepth) << "tick";
+        EXPECT_NE(r.type, obs::FlightEventType::kDump) << "crash dump";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hpres

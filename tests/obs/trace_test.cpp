@@ -1,12 +1,12 @@
 // Span tracer and periodic gauge sampler: zero-overhead-when-disabled,
 // duration totals, Chrome trace_event JSON shape, and the sampler's
-// simulated-time tick loop with its stop protocol.
+// interval boundaries and final flush on one- and three-shard runtimes.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
 #include "obs/sampler.h"
-#include "sim/simulator.h"
+#include "sim/shard_runtime.h"
 
 namespace hpres::obs {
 namespace {
@@ -214,91 +214,124 @@ TEST(Tracer, JsonEscapesHostileNames) {
 }
 
 // --- Sampler ---------------------------------------------------------------
+// The sampler is a runtime quiesce hook; every test runs it on a one-shard
+// and a three-shard runtime, which must drive it identically.
+
+constexpr std::size_t kShardCounts[] = {1, 3};
 
 struct SamplerRig {
-  sim::Simulator sim;
-  Tracer tracer{true};
+  explicit SamplerRig(std::size_t shards, bool traced = true)
+      : rt(shards, /*lookahead_ns=*/100), tracer(traced) {}
+  sim::ShardRuntime rt;
+  Tracer tracer;
   std::uint32_t pid = tracer.declare_process("rig");
   std::int64_t depth = 0;
+  // The workload runs on the last shard, so three-shard runs read the
+  // gauge across shards.
+  sim::Simulator& sim() { return rt.shard(rt.num_shards() - 1); }
 };
 
-sim::Task<void> workload(SamplerRig* rig, Sampler* sampler) {
+sim::Task<void> workload(sim::Simulator* sim, std::int64_t* depth) {
   for (int i = 1; i <= 5; ++i) {
-    co_await rig->sim.delay(1'000);
-    rig->depth = i;
+    co_await sim->delay(1'000);
+    *depth = i;
   }
-  sampler->request_stop();
 }
 
 TEST(Sampler, SamplesGaugesOnSimClockUntilStopped) {
-  SamplerRig rig;
-  Sampler sampler(rig.sim, rig.tracer, rig.pid, /*interval_ns=*/500);
-  sampler.add_gauge("queue_depth", [&rig] { return rig.depth; });
-  rig.sim.spawn(workload(&rig, &sampler));
-  sampler.start();
-  rig.sim.run();
-  // Workload runs 5 ms of sim time; the 0.5 ms sampler must have ticked
-  // roughly ten times (one immediate sample + one per interval) and then
-  // stopped — the run() above returned, proving the queue drained.
-  EXPECT_GE(sampler.samples(), 10u);
-  EXPECT_LE(sampler.samples(), 12u);
-  EXPECT_EQ(sampler.num_gauges(), 1u);
-  EXPECT_EQ(sampler.series_stats(0).min(), 0.0);
-  // Whether the final tick lands before or after the stop request is a
-  // same-timestamp ordering detail; the sampler saw depth reach at least 4.
-  EXPECT_GE(sampler.series_stats(0).max(), 4.0);
-  EXPECT_LE(sampler.series_stats(0).max(), 5.0);
-  // Every tick emitted one counter event.
-  const std::string json = rig.tracer.to_json();
-  EXPECT_NE(json.find("\"queue_depth\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SamplerRig rig(shards);
+    Sampler sampler(rig.rt, /*interval_ns=*/500);
+    sampler.add_gauge(&rig.tracer, rig.pid, "queue_depth",
+                      [&rig] { return rig.depth; });
+    rig.sim().spawn(workload(&rig.sim(), &rig.depth));
+    sampler.start();
+    rig.rt.run();
+    // One sample per 0.5 us boundary from t=0 through the last event at
+    // t=5 us, each taken before that instant's events: depth 0 through 4.
+    EXPECT_EQ(sampler.samples(), 11u);
+    EXPECT_EQ(sampler.num_gauges(), 1u);
+    EXPECT_EQ(sampler.series_stats(0).min(), 0.0);
+    EXPECT_EQ(sampler.series_stats(0).max(), 4.0);
+    sampler.request_stop();
+    EXPECT_EQ(sampler.samples(), 12u);
+    // Stopped: a later run on the same runtime takes no samples.
+    rig.sim().spawn(workload(&rig.sim(), &rig.depth));
+    rig.rt.run();
+    EXPECT_EQ(sampler.samples(), 12u);
+    // Every sample emitted one counter event.
+    const std::string json = rig.tracer.to_json();
+    EXPECT_NE(json.find("\"queue_depth\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+  }
 }
 
-sim::Task<void> flush_workload(SamplerRig* rig, Sampler* sampler) {
-  // Change the gauge mid-interval, then stop immediately: no periodic tick
-  // lands between the change and the stop.
-  co_await rig->sim.delay(1'250);
-  rig->depth = 42;
-  sampler->request_stop();
+sim::Task<void> flush_workload(sim::Simulator* sim, std::int64_t* depth) {
+  // Change the gauge mid-interval, then finish: no periodic boundary lands
+  // between the change and quiescence.
+  co_await sim->delay(1'250);
+  *depth = 42;
 }
 
 // Regression (terminal flush): a gauge change in the last partial interval
 // must still be observed — request_stop() takes one final sample instead of
-// waiting for a tick that will never come.
+// waiting for a boundary that will never come.
 TEST(Sampler, RequestStopFlushesFinalSample) {
-  SamplerRig rig;
-  Sampler sampler(rig.sim, rig.tracer, rig.pid, /*interval_ns=*/1'000);
-  sampler.add_gauge("queue_depth", [&rig] { return rig.depth; });
-  rig.sim.spawn(flush_workload(&rig, &sampler));
-  sampler.start();
-  rig.sim.run();
-  // Ticks at t=0 and t=1000 saw depth 0; only the flush can see 42.
-  EXPECT_EQ(sampler.series_stats(0).max(), 42.0);
-  // And the flush happens exactly once even if stop is requested again.
-  const std::uint64_t n = sampler.samples();
-  sampler.request_stop();
-  EXPECT_EQ(sampler.samples(), n);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SamplerRig rig(shards);
+    Sampler sampler(rig.rt, /*interval_ns=*/1'000);
+    sampler.add_gauge(&rig.tracer, rig.pid, "queue_depth",
+                      [&rig] { return rig.depth; });
+    rig.sim().spawn(flush_workload(&rig.sim(), &rig.depth));
+    sampler.start();
+    rig.rt.run();
+    // Boundaries t=0 and t=1000 saw depth 0; only the flush can see 42.
+    EXPECT_EQ(sampler.samples(), 2u);
+    EXPECT_EQ(sampler.series_stats(0).max(), 0.0);
+    sampler.request_stop();
+    EXPECT_EQ(sampler.series_stats(0).max(), 42.0);
+    // And the flush happens exactly once even if stop is requested again.
+    const std::uint64_t n = sampler.samples();
+    sampler.request_stop();
+    EXPECT_EQ(sampler.samples(), n);
+  }
 }
 
 TEST(Sampler, DisabledTracerMakesStartANoOp) {
-  sim::Simulator sim;
-  Tracer tracer;  // disabled
-  Sampler sampler(sim, tracer, 0, 500);
-  std::int64_t v = 0;
-  sampler.add_gauge("g", [&v] { return v; });
-  sampler.start();
-  sim.run();  // no sampler process was spawned; returns immediately
-  EXPECT_EQ(sampler.samples(), 0u);
-  EXPECT_EQ(tracer.event_count(), 0u);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SamplerRig rig(shards, /*traced=*/false);
+    Sampler sampler(rig.rt, 500);
+    sampler.add_gauge(&rig.tracer, rig.pid, "g", [&rig] { return rig.depth; });
+    sampler.start();
+    rig.sim().spawn(workload(&rig.sim(), &rig.depth));
+    rig.rt.run();
+    sampler.request_stop();
+    EXPECT_EQ(sampler.samples(), 0u);
+    EXPECT_EQ(rig.tracer.event_count(), 0u);
+    // No hook was registered: the one-shard run took no round.
+    if (shards == 1) {
+      EXPECT_EQ(rig.rt.rounds(), 0u);
+    }
+  }
 }
 
 TEST(Sampler, NoGaugesMakesStartANoOp) {
-  sim::Simulator sim;
-  Tracer tracer(true);
-  Sampler sampler(sim, tracer, 0, 500);
-  sampler.start();
-  sim.run();
-  EXPECT_EQ(sampler.samples(), 0u);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SamplerRig rig(shards);
+    Sampler sampler(rig.rt, 500);
+    sampler.start();
+    rig.sim().spawn(workload(&rig.sim(), &rig.depth));
+    rig.rt.run();
+    sampler.request_stop();
+    EXPECT_EQ(sampler.samples(), 0u);
+    if (shards == 1) {
+      EXPECT_EQ(rig.rt.rounds(), 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Conservative shard-runtime semantics: window math, cross-shard delivery,
-// termination, oracle equivalence, and fixed-shard-count determinism.
+// termination, oracle equivalence, fixed-shard-count determinism, and the
+// quiesce-hook contract on the one-shard (oracle) round loop.
 #include "sim/shard_runtime.h"
 
 #include <gtest/gtest.h>
@@ -163,6 +164,109 @@ TEST(ShardRuntime, ShardsAgreeOnFinalTime) {
   rt.run();
   EXPECT_EQ(rt.shard(0).now(), rt.shard(1).now());
   EXPECT_EQ(rt.shard(1).now(), rt.shard(2).now());
+}
+
+// --- Quiesce hooks at one shard ------------------------------------------
+
+/// Registers a hook that applies one action per time in `due` (ascending):
+/// each bumps *applied and logs the min_next it was applied at.
+void add_timed_hook(ShardRuntime& rt, std::vector<SimTime> due, int* applied,
+                    std::vector<SimTime>* seen) {
+  rt.add_quiesce_hook([due = std::move(due), next = std::size_t{0}, applied,
+                       seen](SimTime min_next) mutable {
+    for (; next < due.size() && due[next] <= min_next; ++next) {
+      ++*applied;
+      seen->push_back(min_next);
+    }
+    return next < due.size() ? due[next] : Simulator::kNever;
+  });
+}
+
+Task<void> observe_at(Simulator* sim, SimDur delay, const int* applied,
+                      std::vector<std::pair<SimTime, int>>* log) {
+  co_await sim->delay(delay);
+  log->emplace_back(sim->now(), *applied);
+}
+
+// Each action applies at its own due time: after every event before it and
+// before every event at or after it, including events at the same instant.
+TEST(ShardRuntime, OneShardHookActionsApplyAtExactDueTimes) {
+  ShardRuntime rt(1, kLookahead);
+  int applied = 0;
+  std::vector<SimTime> seen;
+  add_timed_hook(rt, {250, 700, 1'500}, &applied, &seen);
+  std::vector<std::pair<SimTime, int>> log;
+  for (const SimDur at : {100, 250, 500, 700, 1'000, 2'000}) {
+    rt.shard(0).spawn(observe_at(&rt.shard(0), at, &applied, &log));
+  }
+  EXPECT_EQ(rt.run(), 2'000);
+  EXPECT_EQ(log, (std::vector<std::pair<SimTime, int>>{
+                     {100, 0}, {250, 1}, {500, 1}, {700, 2}, {1'000, 2},
+                     {2'000, 3}}));
+  // Applied in the round of the first event at or after each due time.
+  EXPECT_EQ(seen, (std::vector<SimTime>{250, 700, 2'000}));
+}
+
+// An action past the last event flushes at quiescence, and run() still
+// returns the last event's time: the window cap moved no clock.
+TEST(ShardRuntime, OneShardHookPastLastEventKeepsEndTime) {
+  ShardRuntime rt(1, kLookahead);
+  int applied = 0;
+  std::vector<SimTime> seen;
+  add_timed_hook(rt, {50'000}, &applied, &seen);
+  std::vector<SimTime> log;
+  rt.shard(0).spawn(record_at(&rt.shard(0), 500, &log));
+  EXPECT_EQ(rt.run(), 500);
+  EXPECT_EQ(rt.shard(0).now(), 500);
+  EXPECT_EQ(applied, 1);
+  EXPECT_EQ(seen, (std::vector<SimTime>{Simulator::kNever}));
+}
+
+struct FlagState {
+  bool requested = false;
+  bool applied = false;
+  SimTime observed_at = 0;
+};
+
+/// Publishes a request at t=300, then polls every 10 ns until a hook has
+/// applied it — the placement plane's publish/poll handshake.
+Task<void> publish_and_poll(Simulator* sim, FlagState* st) {
+  co_await sim->delay(300);
+  st->requested = true;
+  while (!st->applied) co_await sim->delay(10);
+  st->observed_at = sim->now();
+}
+
+// A flag-style hook (always kNever) sees a flag set mid-window at the next
+// round, so the request lands within one lookahead window.
+TEST(ShardRuntime, OneShardFlagHookAppliesWithinOneLookahead) {
+  ShardRuntime rt(1, kLookahead);
+  FlagState st;
+  rt.add_quiesce_hook([&st](SimTime) {
+    if (st.requested) st.applied = true;
+    return Simulator::kNever;
+  });
+  rt.shard(0).spawn(publish_and_poll(&rt.shard(0), &st));
+  rt.run();
+  ASSERT_TRUE(st.applied);
+  EXPECT_GT(st.observed_at, 300);
+  EXPECT_LE(st.observed_at, 300 + kLookahead);
+}
+
+// Removing the last hook restores the hook-free path: no further rounds.
+TEST(ShardRuntime, OneShardRemovedHookTakesNoRound) {
+  ShardRuntime rt(1, kLookahead);
+  const std::size_t id =
+      rt.add_quiesce_hook([](SimTime) { return Simulator::kNever; });
+  std::vector<SimTime> log;
+  rt.shard(0).spawn(record_at(&rt.shard(0), 100, &log));
+  rt.run();
+  const std::uint64_t rounds = rt.rounds();
+  EXPECT_GT(rounds, 0u);
+  rt.remove_quiesce_hook(id);
+  rt.shard(0).spawn(record_at(&rt.shard(0), 100, &log));
+  EXPECT_EQ(rt.run(), 200);
+  EXPECT_EQ(rt.rounds(), rounds);
 }
 
 }  // namespace
