@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "ec/codec.h"
+
 namespace hpres::ec {
 
 ChunkLayout make_layout(std::size_t value_size, std::size_t k,
@@ -32,6 +34,28 @@ std::vector<Bytes> split_value(ConstByteSpan value,
     offset += take;
     out.push_back(std::move(frag));
   }
+  return out;
+}
+
+std::vector<SharedBytes> encode_fragments(const Codec& codec,
+                                          const ChunkLayout& layout,
+                                          const Bytes* value) {
+  assert(layout.k == codec.k());
+  std::vector<SharedBytes> out;
+  out.reserve(codec.n());
+  if (value == nullptr) {
+    for (std::size_t i = 0; i < codec.n(); ++i) {
+      out.push_back(zero_bytes(layout.fragment_size));
+    }
+    return out;
+  }
+  std::vector<Bytes> data = split_value(*value, layout);
+  const std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
+  std::vector<Bytes> parity(codec.m(), Bytes(layout.fragment_size));
+  std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
+  codec.encode(data_spans, parity_spans);
+  for (Bytes& f : data) out.push_back(make_shared_bytes(std::move(f)));
+  for (Bytes& p : parity) out.push_back(make_shared_bytes(std::move(p)));
   return out;
 }
 

@@ -13,6 +13,8 @@
 
 namespace hpres::ec {
 
+class Codec;
+
 struct ChunkLayout {
   std::size_t original_size = 0;  ///< bytes in the value before padding
   std::size_t fragment_size = 0;  ///< bytes per fragment (padded, aligned)
@@ -31,6 +33,14 @@ struct ChunkLayout {
 /// Splits `value` into layout.k owned fragments, zero-padding the tail.
 [[nodiscard]] std::vector<Bytes> split_value(ConstByteSpan value,
                                              const ChunkLayout& layout);
+
+/// The one erasure encoder of every write path (per-key Sets, packed
+/// stripe commits, server-side SetEncode): returns codec.n() fragments in
+/// slot order, the k data fragments of split_value followed by the m parity
+/// fragments. A null `value` is size-only mode: n shared zero buffers of
+/// layout.fragment_size, no host encode work.
+[[nodiscard]] std::vector<SharedBytes> encode_fragments(
+    const Codec& codec, const ChunkLayout& layout, const Bytes* value);
 
 /// Reassembles the original value from the k data fragments (in index
 /// order). Fails if sizes disagree with the layout.

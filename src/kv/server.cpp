@@ -323,21 +323,8 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
 
   const ec::ChunkLayout layout =
       ec::make_layout(value_size, k, ec.codec->alignment());
-  std::vector<SharedBytes> fragments;
-  fragments.reserve(n);
-  if (ec.materialize && req.value) {
-    std::vector<Bytes> data = ec::split_value(*req.value, layout);
-    std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-    std::vector<Bytes> parity(ec.codec->m(), Bytes(layout.fragment_size));
-    std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-    ec.codec->encode(data_spans, parity_spans);
-    for (auto& f : data) fragments.push_back(make_shared_bytes(std::move(f)));
-    for (auto& p : parity) fragments.push_back(make_shared_bytes(std::move(p)));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      fragments.push_back(zero_bytes(layout.fragment_size));
-    }
-  }
+  const std::vector<SharedBytes> fragments = ec::encode_fragments(
+      *ec.codec, layout, ec.materialize ? req.value.get() : nullptr);
 
   StatusCode worst = StatusCode::kOk;
   std::vector<sim::Future<Response>> pending;

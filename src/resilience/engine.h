@@ -43,13 +43,9 @@ struct HedgeParams {
   /// k decodable arrivals and cancels the rest. 0 = hedging off.
   std::uint32_t delta = 0;
   /// Delay before the hedges fire. The op hedges only if its first k
-  /// fetches have not all arrived after max(delay_ns, the running get
-  /// latency quantile `delay_quantile`). 0/0 = hedge immediately with the
-  /// initial fan-out.
+  /// fetches have not all arrived after delay_ns. 0 = hedge immediately
+  /// with the initial fan-out.
   SimDur delay_ns = 0;
-  /// Running quantile of this engine's own get latency used as an adaptive
-  /// hedge delay ("hedge only past the p95"); 0 disables the adaptive term.
-  double delay_quantile = 0.0;
   /// Order candidate fragments by per-server load score (queue-depth and
   /// RTT EWMAs from piggybacked responses) instead of fixed slot order.
   bool load_aware = false;

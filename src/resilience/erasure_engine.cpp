@@ -115,9 +115,7 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   // slice overlaps the communication phases of neighbouring operations.
   const SimDur encode_ns = cost_.encode_ns(value_size);
   const SimDur post_ns =
-      static_cast<SimDur>(n) *
-      issue_cost(ec::make_layout(value_size, k, codec_->alignment())
-                     .fragment_size);
+      static_cast<SimDur>(n) * issue_cost(layout.fragment_size);
   co_await client().cpu().execute(encode_ns + post_ns);
   phases->compute_ns += encode_ns;
   phases->request_ns += post_ns;
@@ -132,78 +130,83 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
                  sim().now() - post_ns, post_ns, phases->trace.trace_id);
   }
 
-  std::vector<SharedBytes> fragments;
-  fragments.reserve(n);
-  if (ctx().materialize && value) {
-    std::vector<Bytes> data = ec::split_value(*value, layout);
-    std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-    std::vector<Bytes> parity(codec_->m(), Bytes(layout.fragment_size));
-    std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-    codec_->encode(data_spans, parity_spans);
-    for (auto& f : data) fragments.push_back(make_shared_bytes(std::move(f)));
-    for (auto& p : parity) {
-      fragments.push_back(make_shared_bytes(std::move(p)));
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      fragments.push_back(zero_bytes(layout.fragment_size));
-    }
-  }
-
   // Distribute all K+M fragments with non-blocking requests: the
   // response waits overlap, approaching Equation 7's max over fragments.
-  std::vector<sim::Future<kv::Response>> pending;
-  std::vector<std::size_t> pending_owners;
-  pending.reserve(n);
-  pending_owners.reserve(n);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t owner = ring().slot_index(key, slot);
-    if (!membership().up(owner)) continue;
-    kv::Request req;
-    req.verb = kv::Verb::kSet;
-    req.key = kv::chunk_key(key, slot);
-    req.value = fragments[slot];
-    req.chunk = kv::ChunkInfo{value_size, static_cast<std::uint32_t>(slot),
-                              static_cast<std::uint16_t>(k),
-                              static_cast<std::uint16_t>(codec_->m())};
-    req.trace = phases->trace;
-    pending.push_back(client().guarded_future(node_of(owner), std::move(req)));
-    pending_owners.push_back(owner);
-  }
-
-  StatusCode worst = StatusCode::kOk;
-  std::size_t stored = 0;
-  bool bounced = false;
+  FragmentFanout fanout = post_fragments(
+      key, value_size,
+      ec::encode_fragments(*codec_, layout,
+                           ctx().materialize ? value.get() : nullptr),
+      phases->trace);
   const SimTime fanout_t0 = sim().now();
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const kv::Response resp = co_await pending[i].wait();
-    if (resp.code == StatusCode::kOk) {
-      ++stored;
-      // Passive load learning from the piggybacked queue depth; purely
-      // observational (no events, no RNG), so timing is unchanged.
-      load_.observe_rtt(pending_owners[i], sim().now() - fanout_t0,
-                        resp.queue_depth);
-    } else {
-      worst = resp.code;
-      if (resp.code == StatusCode::kWrongEpoch) bounced = true;
-    }
-  }
+  const WriteTally tally = co_await collect_fragments(std::move(fanout));
   if (tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "set/fanout", "engine",
                  fanout_t0, sim().now() - fanout_t0, phases->trace.trace_id);
   }
-  // A stale-epoch bounce outranks the durability verdict: the whole op
-  // re-runs under the refreshed ring (Engine::set_impl), re-placing every
-  // fragment, so partial old-ring placements never count as stored.
-  if (bounced) {
-    co_return Status{StatusCode::kWrongEpoch, "stale placement epoch"};
+  co_return write_verdict(tally);
+}
+
+ErasureEngine::FragmentFanout ErasureEngine::post_fragments(
+    const kv::Key& skey, std::size_t value_size,
+    std::vector<SharedBytes> fragments, const obs::TraceContext& trace) {
+  const std::size_t n = codec_->n();
+  FragmentFanout fanout;
+  fanout.pending.reserve(n);
+  fanout.owners.reserve(n);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const std::size_t owner = ring().slot_index(skey, slot);
+    if (!membership().up(owner)) continue;
+    kv::Request req;
+    req.verb = kv::Verb::kSet;
+    req.key = kv::chunk_key(skey, slot);
+    req.value = std::move(fragments[slot]);
+    req.chunk = kv::ChunkInfo{value_size, static_cast<std::uint32_t>(slot),
+                              static_cast<std::uint16_t>(codec_->k()),
+                              static_cast<std::uint16_t>(codec_->m())};
+    req.trace = trace;
+    fanout.pending.push_back(
+        client().guarded_future(node_of(owner), std::move(req)));
+    fanout.owners.push_back(owner);
   }
-  // Durability requires at least k fragments (any k reconstruct the value).
-  if (stored < k) {
-    co_return Status{StatusCode::kUnavailable,
-                     "fewer than k fragments stored"};
+  return fanout;
+}
+
+sim::Task<ErasureEngine::WriteTally> ErasureEngine::collect_fragments(
+    FragmentFanout fanout) {
+  WriteTally tally;
+  const SimTime t0 = sim().now();
+  for (std::size_t i = 0; i < fanout.pending.size(); ++i) {
+    const kv::Response resp = co_await fanout.pending[i].wait();
+    if (resp.code == StatusCode::kOk) {
+      ++tally.stored;
+      // Passive load learning from the piggybacked queue depth; purely
+      // observational (no events, no RNG), so timing is unchanged.
+      load_.observe_rtt(fanout.owners[i], sim().now() - t0,
+                        resp.queue_depth);
+    } else if (resp.code == StatusCode::kWrongEpoch) {
+      tally.bounced = true;
+    }
   }
-  co_return Status{worst};
+  co_return tally;
+}
+
+Status ErasureEngine::write_verdict(const WriteTally& tally,
+                                    bool named) const {
+  // A stale-epoch bounce outranks durability: the whole op re-runs under
+  // the refreshed ring (Engine::set_impl), re-placing every fragment, so
+  // partial old-ring placements never count as stored.
+  if (tally.bounced) {
+    return Status{StatusCode::kWrongEpoch, "stale placement epoch"};
+  }
+  // Any k fragments reconstruct the value: k acks make the write durable,
+  // whatever the other n-k owners answered.
+  if (tally.stored < codec_->k()) {
+    return Status{StatusCode::kUnavailable, "fewer than k fragments stored"};
+  }
+  if (!named) {
+    return Status{StatusCode::kUnavailable, "no directory owner acked"};
+  }
+  return Status::Ok();
 }
 
 sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
@@ -292,14 +295,6 @@ std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
   return load_.order_slots(slots, owners, randomize);
 }
 
-SimDur ErasureEngine::hedge_delay() const noexcept {
-  SimDur d = hedge_.delay_ns;
-  if (hedge_.delay_quantile > 0.0 && stats().get_latency.count() > 0) {
-    d = std::max(d, stats().get_latency.quantile(hedge_.delay_quantile));
-  }
-  return d;
-}
-
 sim::Task<void> ErasureEngine::fetch_collector(
     ErasureEngine* self, std::shared_ptr<FetchState> st, std::size_t slot,
     bool is_hedge, sim::Future<kv::Response> fut, SimTime issued_at) {
@@ -357,8 +352,9 @@ sim::Task<void> ErasureEngine::hedge_firer(
     std::vector<std::size_t> hedge_slots, obs::TraceContext trace,
     std::uint64_t trace_tid) {
   const std::size_t k = self->codec_->k();
-  const SimDur delay = self->hedge_delay();
-  if (delay > 0) co_await self->sim().delay(delay);
+  if (self->hedge_.delay_ns > 0) {
+    co_await self->sim().delay(self->hedge_.delay_ns);
+  }
   bool fired = false;
   for (const std::size_t slot : hedge_slots) {
     // Late binding: a hedge only fires while the op is still short of k
@@ -817,45 +813,14 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
                    cpu_t0 + encode_ns, post_ns);
   }
 
-  std::vector<SharedBytes> fragments;
-  fragments.reserve(n);
-  if (self->ctx().materialize) {
-    std::vector<Bytes> data = ec::split_value(st->buffer, layout);
-    std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-    std::vector<Bytes> parity(m, Bytes(layout.fragment_size));
-    std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-    self->codec_->encode(data_spans, parity_spans);
-    for (auto& f : data) fragments.push_back(make_shared_bytes(std::move(f)));
-    for (auto& p : parity) {
-      fragments.push_back(make_shared_bytes(std::move(p)));
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      fragments.push_back(zero_bytes(layout.fragment_size));
-    }
-  }
-
   // Fragment fan-out under the stripe's own base key (the repair
   // coordinator discovers and rebuilds stripes through the same
   // chunk-key scan as per-key fragments).
-  std::vector<sim::Future<kv::Response>> frag_pending;
-  std::vector<std::size_t> frag_owners;
-  frag_pending.reserve(n);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t owner = self->ring().slot_index(st->skey, slot);
-    if (!self->membership().up(owner)) continue;
-    kv::Request req;
-    req.verb = kv::Verb::kSet;
-    req.key = kv::chunk_key(st->skey, slot);
-    req.value = fragments[slot];
-    req.chunk = kv::ChunkInfo{stripe_bytes,
-                              static_cast<std::uint32_t>(slot),
-                              static_cast<std::uint16_t>(k),
-                              static_cast<std::uint16_t>(m)};
-    frag_pending.push_back(
-        self->client().guarded_future(self->node_of(owner), std::move(req)));
-    frag_owners.push_back(owner);
-  }
+  FragmentFanout fanout = self->post_fragments(
+      st->skey, stripe_bytes,
+      ec::encode_fragments(*self->codec_, layout,
+                           self->ctx().materialize ? &st->buffer : nullptr),
+      obs::TraceContext{});
 
   // Batched locator installs: all records share their primary (that is
   // how they were grouped), so they share the full m+1 directory owner
@@ -879,24 +844,13 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
     }
   }
 
-  std::size_t frag_ok = 0;
-  bool bounced = false;
   const SimTime fanout_t0 = self->sim().now();
-  for (std::size_t i = 0; i < frag_pending.size(); ++i) {
-    const kv::Response resp = co_await frag_pending[i].wait();
-    if (resp.code == StatusCode::kOk) {
-      ++frag_ok;
-      self->load_.observe_rtt(frag_owners[i], self->sim().now() - fanout_t0,
-                              resp.queue_depth);
-    } else if (resp.code == StatusCode::kWrongEpoch) {
-      bounced = true;
-    }
-  }
+  WriteTally tally = co_await self->collect_fragments(std::move(fanout));
   std::size_t dir_ok = 0;
   for (auto& f : dir_pending) {
     const kv::Response resp = co_await f.wait();
     if (resp.code == StatusCode::kOk) ++dir_ok;
-    if (resp.code == StatusCode::kWrongEpoch) bounced = true;
+    if (resp.code == StatusCode::kWrongEpoch) tally.bounced = true;
   }
   if (obs::Tracer* const tr = self->tracer(); tr != nullptr) {
     tr->async_span(self->trace_pid(),
@@ -904,18 +858,12 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
                    "engine", fanout_t0, self->sim().now() - fanout_t0);
   }
 
-  // Durability: any k fragments reconstruct the stripe, and at least one
-  // directory owner can name it (the directory itself is recoverable from
-  // stripe contents — records embed their keys). A stale-epoch bounce
-  // outranks both: every waiter's set retries whole (Engine::set_impl),
-  // re-staging its record under the refreshed ring.
-  const bool durable =
-      frag_ok >= k && (live.empty() || dir_ok >= 1);
-  st->result = bounced ? Status{StatusCode::kWrongEpoch,
-                                "stale placement epoch"}
-               : durable ? Status::Ok()
-                         : Status{StatusCode::kUnavailable,
-                                  "stripe commit not durable"};
+  // The per-key verdict, plus one directory condition: at least one
+  // directory owner must name the stripe (the directory itself is
+  // recoverable from stripe contents — records embed their keys). A
+  // bounce retries every waiter's Set whole, re-staging its record under
+  // the refreshed ring.
+  st->result = self->write_verdict(tally, live.empty() || dir_ok >= 1);
 
   // Staged copies served read-your-writes until now; drop the ones this
   // stripe owns (pointer match — overwrites keep their newer entry).

@@ -89,6 +89,37 @@ class ErasureEngine final : public Engine {
                                       OpPhases* phases);
   sim::Task<Status> set_server_encode(kv::Key key, SharedBytes value,
                                       OpPhases* phases);
+
+  /// Fragment Sets in flight, in slot order (live owners only).
+  struct FragmentFanout {
+    std::vector<sim::Future<kv::Response>> pending;
+    std::vector<std::size_t> owners;  ///< server index per pending Set
+  };
+  /// What the owners answered to one fragment fan-out.
+  struct WriteTally {
+    std::size_t stored = 0;  ///< fragments acked kOk
+    bool bounced = false;    ///< an owner answered kWrongEpoch
+  };
+
+  /// The client fragment fan-out of every erasure write (per-key Sets and
+  /// stripe commits): one guarded kSet per live owner of `skey`'s n slots,
+  /// carrying ChunkInfo{value_size, slot, k, m}. Posts only; the caller
+  /// has already charged the issue CPU.
+  FragmentFanout post_fragments(const kv::Key& skey, std::size_t value_size,
+                                std::vector<SharedBytes> fragments,
+                                const obs::TraceContext& trace);
+
+  /// Awaits the fan-out's acks in slot order, tallying stored fragments
+  /// and stale-epoch bounces and feeding acked RTTs to the load tracker.
+  sim::Task<WriteTally> collect_fragments(FragmentFanout fanout);
+
+  /// The one k-of-n durability verdict: a bounce is kWrongEpoch (the Set
+  /// retries whole), fewer than k stored fragments is kUnavailable, else
+  /// OK. `named` is false when a stripe commit reached no directory owner,
+  /// which also makes it kUnavailable.
+  [[nodiscard]] Status write_verdict(const WriteTally& tally,
+                                     bool named = true) const;
+
   // Get paths.
   /// Per-key client-decode Get: fetch_any_k, decode_data, join. SE-CD falls
   /// back to the server-side path when fragments are missing.
@@ -226,10 +257,6 @@ class ErasureEngine final : public Engine {
   [[nodiscard]] std::vector<std::size_t> load_preference(const kv::Key& key,
                                                          bool randomize,
                                                          bool force);
-
-  /// Effective hedge delay: max of the fixed delay and the engine's own
-  /// running get-latency quantile (when delay_quantile is set).
-  [[nodiscard]] SimDur hedge_delay() const noexcept;
 
   /// First live owner among the key's n slots (for SE/SD targets), paying
   /// T_check when the designated one is down. `degraded` reports whether a

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "ec/rs_vandermonde.h"
 
 namespace hpres::ec {
 namespace {
@@ -128,6 +129,53 @@ TEST(Chunker, JoinRejectsInconsistentLayout) {
   const std::vector<ConstByteSpan> frags{frag, frag};
   EXPECT_EQ(join_fragments(frags, layout).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(Chunker, EncodeFragmentsIsSplitPlusParity) {
+  const RsVandermondeCodec codec(3, 2);
+  const Bytes value = make_pattern(1000, 21);
+  const ChunkLayout layout = make_layout(value.size(), 3, codec.alignment());
+  const std::vector<SharedBytes> frags =
+      encode_fragments(codec, layout, &value);
+  ASSERT_EQ(frags.size(), codec.n());
+
+  // Byte-equal to the split data plus the codec's own parity.
+  const std::vector<Bytes> data = split_value(value, layout);
+  const std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
+  std::vector<Bytes> parity(codec.m(), Bytes(layout.fragment_size));
+  std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
+  codec.encode(data_spans, parity_spans);
+  for (std::size_t i = 0; i < codec.k(); ++i) EXPECT_EQ(*frags[i], data[i]);
+  for (std::size_t j = 0; j < codec.m(); ++j) {
+    EXPECT_EQ(*frags[codec.k() + j], parity[j]);
+  }
+
+  // Any k of them decode back to the value: drop two data fragments.
+  std::vector<Bytes> storage;
+  for (const SharedBytes& f : frags) storage.push_back(*f);
+  std::vector<bool> present(codec.n(), true);
+  present[0] = present[2] = false;
+  storage[0].assign(layout.fragment_size, std::byte{0});
+  storage[2].assign(layout.fragment_size, std::byte{0});
+  std::vector<ByteSpan> spans(storage.begin(), storage.end());
+  ASSERT_TRUE(codec.reconstruct_data(spans, present).ok());
+  const std::vector<ConstByteSpan> rebuilt(storage.begin(),
+                                           storage.begin() + 3);
+  const Result<Bytes> joined = join_fragments(rebuilt, layout);
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ(*joined, value);
+}
+
+TEST(Chunker, EncodeFragmentsSizeOnlyIsZeroBuffers) {
+  const RsVandermondeCodec codec(3, 2);
+  const ChunkLayout layout = make_layout(1000, 3, codec.alignment());
+  const std::vector<SharedBytes> frags =
+      encode_fragments(codec, layout, nullptr);
+  ASSERT_EQ(frags.size(), codec.n());
+  for (const SharedBytes& f : frags) {
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(*f, Bytes(layout.fragment_size));
+  }
 }
 
 }  // namespace

@@ -253,5 +253,68 @@ TEST_F(FailureHandlingTest, DefaultPolicyMatchesUnguardedTiming) {
   EXPECT_EQ(run_with(false), run_with(true));
 }
 
+// One k-of-n durability verdict for per-key and packed writes. The crashed
+// owners are killed with Server::fail() alone, as a gray crash: membership
+// still reports them up, so the Set posts their fragments and each of those
+// sends fails. A write that stored >= k fragments is durable and returns
+// OK; one that stored fewer is kUnavailable, on both write paths.
+struct UndetectedCrash {
+  static sim::Task<void> run(Engine* e, cluster::Cluster* cl,
+                             std::size_t crashed, std::size_t size,
+                             StatusCode expect) {
+    // RS(3,2) on 5 servers: every server owns one fragment of every key
+    // and of every stripe.
+    for (std::size_t i = 0; i < crashed; ++i) cl->server(i).fail();
+    const Bytes original = make_pattern(size, 17);
+    const Status s =
+        co_await e->set("undetected", make_shared_bytes(Bytes(original)));
+    EXPECT_EQ(s.code(), expect) << s;
+    if (!s.ok()) co_return;
+    const Result<Bytes> got = co_await e->get("undetected");
+    EXPECT_TRUE(got.ok()) << got.status();
+    if (got.ok()) { EXPECT_EQ(*got, original); }
+  }
+};
+
+TEST_F(FailureHandlingTest, PerKeySetDurableWithUndetectedCrash) {
+  auto engine = make_engine(Design::kEraCeCd);
+  cluster_.start();
+  run_sim(cluster_.sim(), [&] {
+    return UndetectedCrash::run(engine.get(), &cluster_, 1, 30'000,
+                                StatusCode::kOk);
+  });
+}
+
+TEST_F(FailureHandlingTest, PackedSetDurableWithUndetectedCrash) {
+  auto engine = make_engine(Design::kEraCeCd, 3, {}, {},
+                            PackParams{.pack_threshold = 512});
+  cluster_.start();
+  run_sim(cluster_.sim(), [&] {
+    return UndetectedCrash::run(engine.get(), &cluster_, 1, 200,
+                                StatusCode::kOk);
+  });
+  EXPECT_EQ(engine->stats().packed_sets, 1u);
+}
+
+TEST_F(FailureHandlingTest, PerKeySetUnavailableBeyondMUndetectedCrashes) {
+  auto engine = make_engine(Design::kEraCeCd);
+  cluster_.start();
+  run_sim(cluster_.sim(), [&] {
+    return UndetectedCrash::run(engine.get(), &cluster_, codec_.m() + 1,
+                                30'000, StatusCode::kUnavailable);
+  });
+}
+
+TEST_F(FailureHandlingTest, PackedSetUnavailableBeyondMUndetectedCrashes) {
+  auto engine = make_engine(Design::kEraCeCd, 3, {}, {},
+                            PackParams{.pack_threshold = 512});
+  cluster_.start();
+  run_sim(cluster_.sim(), [&] {
+    return UndetectedCrash::run(engine.get(), &cluster_, codec_.m() + 1, 200,
+                                StatusCode::kUnavailable);
+  });
+  EXPECT_EQ(engine->stats().packed_sets, 1u);
+}
+
 }  // namespace
 }  // namespace hpres::resilience

@@ -320,11 +320,12 @@ void print_metrics(const std::string& path) {
                  e.byte(), e.what(), rows.size());
   }
   if (rows.empty()) {
-    std::printf("\nmetrics snapshot: no health gauges found in %s\n",
-                path.c_str());
+    std::printf("\nmetrics snapshot: no health gauges found\n");
     return;
   }
-  std::printf("\nhealth gauges (metrics snapshot %s)\n", path.c_str());
+  // A fixed label, not the input path: reports over identical exports
+  // under different file names must diff clean.
+  std::printf("\nhealth gauges (metrics snapshot)\n");
   std::printf("  %-10s %-8s %-22s %12s\n", "node", "point", "gauge",
               "value");
   for (const Row& row : rows) {
