@@ -87,12 +87,7 @@ int main(int argc, char** argv) {
         std::size_t{512} * 1024}) {
     Testbench bench(cluster::ri_qdr(), 5, 1,
                     resilience::Design::kAsyncRep);  // context donor only
-    resilience::EngineContext ctx;
-    ctx.sim = &bench.sim();
-    ctx.client = &bench.cluster().client(0);
-    ctx.ring = &bench.cluster().ring();
-    ctx.membership = &bench.cluster().membership();
-    ctx.server_nodes = &bench.cluster().server_nodes();
+    resilience::EngineContext ctx = bench.cluster().engine_context(0);
     ctx.materialize = false;
     ec::RsVandermondeCodec codec(3, 2);
     resilience::HybridEngine hybrid(

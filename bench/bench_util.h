@@ -174,10 +174,6 @@ class ObsSession {
   [[nodiscard]] std::size_t effective_shards() const noexcept {
     return shards_;
   }
-  /// Alias kept for harnesses that report the requested count.
-  [[nodiscard]] std::size_t requested_shards() const noexcept {
-    return shards_;
-  }
 
   [[nodiscard]] bool shard_profile_enabled() const noexcept {
     return !shard_profile_out_.empty();
@@ -379,7 +375,7 @@ inline void require_oracle_shards(const char* harness, const char* why) {
 /// Every Testbench registers itself with the process ObsSession: it becomes
 /// one trace process (pid) named `point_label`, its stats structs bind into
 /// the metrics registry under that op label, and — when sampling is on — a
-/// periodic gauge sampler starts with the first spawn() and takes its final
+/// periodic gauge sampler starts at construction and takes its final
 /// sample at teardown. Run the point through run() so the sampler's hook
 /// fires. The destructor freezes bound metrics (registry capture) so
 /// snapshots survive per-point teardown.
@@ -422,21 +418,10 @@ class Testbench {
     }
     engines_.reserve(clients);
     for (std::size_t i = 0; i < clients; ++i) {
-      resilience::EngineContext ctx;
-      ctx.sim = &cluster_.sim_for_client(i);
-      ctx.client = &cluster_.client(i);
-      ctx.ring = &cluster_.ring();
-      ctx.membership = &cluster_.membership();
-      ctx.server_nodes = &cluster_.server_nodes();
+      resilience::EngineContext ctx = cluster_.engine_context(i);
       ctx.materialize = false;
-      // Each engine records into its own shard's observability domains
-      // (the process-wide instruments themselves in oracle mode).
-      ctx.tracer = cluster_.tracer_for_client(i);
-      ctx.trace_pid = trace_pid_;
       ctx.recorder = engine_recorders_.empty() ? &recorder_
                                                : engine_recorders_[i].get();
-      ctx.flight = cluster_.flight_domain_of(
-          static_cast<net::NodeId>(servers + i));
       engines_.push_back(resilience::make_engine(
           design, ctx, rep_factor, &codec_, cost_, arpe, hedge, pack));
     }
@@ -452,6 +437,7 @@ class Testbench {
                                                          label_);
       }
     }
+    start_sampler();
   }
 
   ~Testbench() {
@@ -489,53 +475,23 @@ class Testbench {
   [[nodiscard]] resilience::Engine& engine(std::size_t i = 0) {
     return *engines_.at(i);
   }
-  [[nodiscard]] std::size_t num_engines() const noexcept {
-    return engines_.size();
+  /// Every client's engine, indexed by client (the YCSB driver's input).
+  [[nodiscard]] const std::vector<std::unique_ptr<resilience::Engine>>&
+  engines() const noexcept {
+    return engines_;
   }
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
   [[nodiscard]] std::uint32_t trace_pid() const noexcept { return trace_pid_; }
-  /// This point's always-on latency percentile recorder (the shared oracle
-  /// recorder; sharded points split per engine — use latency_rows()).
-  [[nodiscard]] obs::LatencyRecorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] const ec::CostModel& cost() const noexcept { return cost_; }
-
-  /// Percentile rows over every recorder this point owns (the shared one
-  /// plus per-engine recorders in sharded mode). Histogram merging
-  /// commutes, so oracle rows are identical to recorder().rows().
-  [[nodiscard]] std::vector<obs::LatencyRow> latency_rows() const {
-    if (engine_recorders_.empty()) return recorder_.rows();
-    obs::LatencyRecorder merged;
-    merged.merge(recorder_);
-    for (const auto& r : engine_recorders_) merged.merge(*r);
-    return merged.rows();
-  }
-
-  /// Drops recorded latencies (harnesses reset between preload and the
-  /// measured pass).
-  void clear_latency() {
-    recorder_.clear();
-    for (const auto& r : engine_recorders_) r->clear();
-  }
 
   /// Runs the cluster to quiescence — all shards in parallel when sharded,
   /// the single loop otherwise — with every quiesce hook (faults, health
   /// monitor, gauge sampler) firing between windows.
   SimTime run() { return cluster_.run(); }
 
-  /// Spawns a workload task on shard 0's loop (starting the gauge sampler
-  /// on first use when sampling is on).
-  void spawn(sim::Task<void> task) {
-    maybe_start_sampler();
-    sim().spawn(std::move(task));
-  }
-
-  /// Spawns a workload task onto client `i`'s own shard loop. Sharded
-  /// harnesses must use this — a task driving engine `i` has to run on the
-  /// engine's shard. In oracle mode this is exactly spawn().
-  void spawn_client(std::size_t i, sim::Task<void> task) {
-    maybe_start_sampler();
-    cluster_.sim_for_client(i).spawn(std::move(task));
-  }
+  /// Spawns a workload task on shard 0's loop. A task driving engine `i`
+  /// of a sharded point spawns on cluster().sim_for_client(i) instead.
+  void spawn(sim::Task<void> task) { sim().spawn(std::move(task)); }
 
  private:
   static cluster::ClusterConfig shard_config(const cluster::Testbed& bed,
@@ -578,16 +534,13 @@ class Testbench {
     }
   }
 
-  /// Starts the gauge sampler on first use when tracing and sampling are
-  /// on. Each gauge records into its owner's shard domain; the fabric's
-  /// in-flight bytes are sampled per shard, because the merged counter is
-  /// only refreshed after run().
-  void maybe_start_sampler() {
+  /// Starts the gauge sampler when tracing and sampling are on. Each gauge
+  /// records into its owner's shard domain; the fabric's in-flight bytes
+  /// are sampled per shard, because the merged counter is only refreshed
+  /// after run().
+  void start_sampler() {
     ObsSession& obs = ObsSession::instance();
-    if (sampler_ != nullptr || !obs.tracer().enabled() ||
-        obs.sample_interval_ns() <= 0) {
-      return;
-    }
+    if (!obs.tracer().enabled() || obs.sample_interval_ns() <= 0) return;
     sampler_ = std::make_unique<obs::Sampler>(cluster_.runtime(),
                                               obs.sample_interval_ns());
     for (std::size_t i = 0; i < engines_.size(); ++i) {

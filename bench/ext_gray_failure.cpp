@@ -15,14 +15,10 @@
 //
 // Shard-audited: the clients spawn onto their own shard loops, fault
 // injection and the health monitor run from runtime quiesce hooks at any
-// shard count, and the workload-end stamp is the latest client finish
-// time.
-#include <algorithm>
-
-#include "bench_util.h"
-#include "cluster/fault_schedule.h"
+// shard count, and the shared YCSB driver ends the makespan at the latest
+// client finish.
 #include "cluster/health_monitor.h"
-#include "workload/ycsb.h"
+#include "ycsb_runner.h"
 
 namespace {
 
@@ -70,31 +66,13 @@ workload::YcsbConfig bench_config() {
 
 enum class FaultMode { kNone, kSlow, kLossy, kCrash };
 
-struct RunOut {
-  workload::YcsbResult merged;
-  SimDur makespan_ns = 0;
+struct RunOut : YcsbPass {
   std::uint64_t rpc_timeouts = 0;
   std::uint64_t rpc_retries = 0;
   std::uint64_t detector_ticks = 0;
   std::uint64_t burst_dumps = 0;
   obs::DetectionReport report;
-
-  [[nodiscard]] double availability() const {
-    const double ops = static_cast<double>(merged.reads + merged.writes);
-    if (ops <= 0.0) return 1.0;
-    return 1.0 - static_cast<double>(merged.failures) / ops;
-  }
 };
-
-/// Runs one client's op stream and stamps its own finish time: with
-/// deadlines armed, stray timer events outlive the last op, so the
-/// quiesced clock overstates the makespan.
-sim::Task<void> client_proc(sim::Simulator* sim, resilience::Engine* engine,
-                            workload::YcsbConfig cfg, std::uint64_t seed,
-                            workload::YcsbResult* result, SimTime* finished) {
-  co_await workload::ycsb_client(sim, engine, cfg, seed, result);
-  *finished = sim->now();
-}
 
 /// One full experiment: preload, then the op streams with `mode`'s fault
 /// injected at 35% of the fault-free makespan and cleared at 75% (crash:
@@ -117,20 +95,7 @@ RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
     }
   }
 
-  {  // Preload, partitioned across the clients.
-    const std::uint64_t stride = (cfg.record_count + kClients - 1) / kClients;
-    for (std::size_t l = 0; l < kClients; ++l) {
-      const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
-      const std::uint64_t last =
-          std::min<std::uint64_t>(first + stride, cfg.record_count);
-      if (first >= last) continue;
-      bench.spawn_client(
-          l, workload::ycsb_load(&bench.cluster().sim_for_client(l),
-                                 &bench.engine(l), cfg, first, last));
-    }
-    bench.run();
-  }
-  bench.clear_latency();  // percentiles cover the measured pass only
+  ycsb_preload(bench.cluster(), bench.engines(), cfg);
 
   const SimTime start = bench.cluster().now_quiesced();
   if (mode != FaultMode::kNone) {
@@ -157,21 +122,11 @@ RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
   monitor.arm();
 
   RunOut out;
-  std::vector<workload::YcsbResult> results(kClients);
-  std::vector<SimTime> finished(kClients, start);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    bench.spawn_client(c, client_proc(&bench.cluster().sim_for_client(c),
-                                      &bench.engine(c), cfg,
-                                      cfg.seed + 1000 + c, &results[c],
-                                      &finished[c]));
-  }
-  bench.run();
+  static_cast<YcsbPass&>(out) =
+      ycsb_pass(bench.cluster(), bench.engines(), cfg);
   // The monitor's final tick runs at quiescence; detection is judged up to
   // the workload end.
   monitor.request_stop();
-  const SimTime end = *std::max_element(finished.begin(), finished.end());
-  out.makespan_ns = end - start;
-  for (const auto& r : results) out.merged.merge(r);
   for (std::size_t c = 0; c < kClients; ++c) {
     const kv::RpcStats& rpc = bench.cluster().client(c).rpc_stats();
     out.rpc_timeouts += rpc.timeouts;
@@ -180,13 +135,14 @@ RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
   out.detector_ticks = monitor.ticks();
   out.burst_dumps = monitor.flight_dumps_triggered();
   out.report = obs::analyze_detection(
-      fault_log, monitor.detector().transitions(), end, kDetectionGraceNs);
+      fault_log, monitor.detector().transitions(), start + out.makespan_ns,
+      kDetectionGraceNs);
   return out;
 }
 
 void print_run(const std::string& label, const RunOut& run) {
   print_cell(label);
-  print_cell(run.merged.throughput_ops_per_s(run.makespan_ns));
+  print_cell(run.throughput_ops_s());
   print_cell(units::to_us(static_cast<SimDur>(run.merged.read_latency.mean())));
   print_cell(units::to_us(run.merged.read_latency.p99()));
   print_cell(100.0 * run.availability());

@@ -69,17 +69,9 @@ Point run_code(const ec::Codec& codec, std::uint64_t keys,
                                             codec.k(), codec.m());
   cl.enable_server_ec(codec, cost, false);
   obs::Tracer& tracer = ObsSession::instance().tracer();
-  const std::uint32_t pid = tracer.declare_process(std::string(codec.name()));
-  cl.set_tracer(&tracer, pid);
-  resilience::EngineContext ctx;
-  ctx.sim = &cl.sim();
-  ctx.client = &cl.client(0);
-  ctx.ring = &cl.ring();
-  ctx.membership = &cl.membership();
-  ctx.server_nodes = &cl.server_nodes();
+  cl.set_tracer(&tracer, tracer.declare_process(std::string(codec.name())));
+  resilience::EngineContext ctx = cl.engine_context(0);
   ctx.materialize = false;
-  ctx.tracer = &tracer;
-  ctx.trace_pid = pid;
   const auto engine = resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost);
   resilience::RepairCoordinator repair(ctx, codec, cost);

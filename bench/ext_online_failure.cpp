@@ -11,15 +11,12 @@
 //
 // Shard-audited: the clients spawn onto their own shard loops, crash/
 // restart injection and the health monitor run from runtime quiesce hooks
-// at any shard count, and the workload-end stamp is the latest client
-// finish time. The repair pass stays a single coroutine on client 0's loop.
-#include <algorithm>
-
-#include "bench_util.h"
-#include "cluster/fault_schedule.h"
+// at any shard count, and the shared YCSB driver ends the makespan at the
+// latest client finish. The repair pass stays a single coroutine on client
+// 0's loop.
 #include "cluster/health_monitor.h"
 #include "resilience/repair.h"
-#include "workload/ycsb.h"
+#include "ycsb_runner.h"
 
 namespace {
 
@@ -47,9 +44,10 @@ workload::YcsbConfig bench_config() {
   return cfg;
 }
 
-struct RunOut {
-  workload::YcsbResult merged;
-  SimDur makespan_ns = 0;
+/// The measured pass (its percentile rows' {get, degraded=yes} row
+/// isolates the ops that paid failover/degraded-read costs from healthy
+/// Gets) plus the run's failure-handling and repair totals.
+struct RunOut : YcsbPass {
   std::uint64_t rpc_timeouts = 0;
   std::uint64_t rpc_retries = 0;
   std::uint64_t rpc_expired = 0;
@@ -66,26 +64,7 @@ struct RunOut {
   /// Closed detection loop: injected crash/restart stamps joined against
   /// the health detector's transitions (empty for the fault-free baseline).
   obs::DetectionReport detection;
-  /// Measured-pass percentile rows; the {get, degraded=yes} row isolates
-  /// the ops that paid failover/degraded-read costs from healthy Gets.
-  std::vector<obs::LatencyRow> latency;
-
-  [[nodiscard]] double availability() const {
-    const double ops = static_cast<double>(merged.reads + merged.writes);
-    if (ops <= 0.0) return 1.0;
-    return 1.0 - static_cast<double>(merged.failures) / ops;
-  }
 };
-
-/// Runs one client's op stream and stamps its own finish time: with
-/// deadlines armed, stray timer events outlive the last op, so the
-/// quiesced clock overstates the makespan.
-sim::Task<void> client_proc(sim::Simulator* sim, resilience::Engine* engine,
-                            workload::YcsbConfig cfg, std::uint64_t seed,
-                            workload::YcsbResult* result, SimTime* finished) {
-  co_await workload::ycsb_client(sim, engine, cfg, seed, result);
-  *finished = sim->now();
-}
 
 sim::Task<void> repair_proc(resilience::RepairCoordinator* repair) {
   (void)co_await repair->repair_all();
@@ -113,20 +92,7 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   hm.detector.min_samples = 6;
   cluster::HealthMonitor monitor(bench.cluster(), hm);
 
-  {  // Preload, partitioned across the clients.
-    const std::uint64_t stride = (cfg.record_count + kClients - 1) / kClients;
-    for (std::size_t l = 0; l < kClients; ++l) {
-      const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
-      const std::uint64_t last =
-          std::min<std::uint64_t>(first + stride, cfg.record_count);
-      if (first >= last) continue;
-      bench.spawn_client(
-          l, workload::ycsb_load(&bench.cluster().sim_for_client(l),
-                                 &bench.engine(l), cfg, first, last));
-    }
-    bench.run();
-  }
-  bench.clear_latency();  // percentiles cover the measured pass only
+  ycsb_preload(bench.cluster(), bench.engines(), cfg);
 
   const SimTime start = bench.cluster().now_quiesced();
   if (inject) {
@@ -140,27 +106,16 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   monitor.arm();
 
   RunOut out;
-  std::vector<workload::YcsbResult> results(kClients);
-  std::vector<SimTime> finished(kClients, start);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    bench.spawn_client(c, client_proc(&bench.cluster().sim_for_client(c),
-                                      &bench.engine(c), cfg,
-                                      cfg.seed + 1000 + c, &results[c],
-                                      &finished[c]));
-  }
-  bench.run();
+  static_cast<YcsbPass&>(out) =
+      ycsb_pass(bench.cluster(), bench.engines(), cfg);
   // The monitor's final tick runs at quiescence; detection is judged up to
   // the workload end.
   monitor.request_stop();
-  const SimTime end = *std::max_element(finished.begin(), finished.end());
-  out.makespan_ns = end - start;
   // 10 ms symptom-propagation grace: the full RPC deadline ladder plus a
   // couple of detector windows (see obs::analyze_detection).
   out.detection = obs::analyze_detection(
-      fault_log, monitor.detector().transitions(), end,
+      fault_log, monitor.detector().transitions(), start + out.makespan_ns,
       10 * units::kMillisecond);
-  out.latency = bench.latency_rows();
-  for (const auto& r : results) out.merged.merge(r);
   for (std::size_t c = 0; c < kClients; ++c) {
     const kv::RpcStats& rpc = bench.cluster().client(c).rpc_stats();
     out.rpc_timeouts += rpc.timeouts;
@@ -179,19 +134,14 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
 
   if (inject) {
     // Post-restart repair restores full redundancy on the wiped node.
-    resilience::EngineContext ctx;
-    ctx.sim = &bench.sim();
-    ctx.client = &bench.cluster().client(0);
-    ctx.ring = &bench.cluster().ring();
-    ctx.membership = &bench.cluster().membership();
-    ctx.server_nodes = &bench.cluster().server_nodes();
+    resilience::EngineContext ctx = bench.cluster().engine_context(0);
     ctx.materialize = false;
     ec::RsVandermondeCodec codec(3, 2);
     resilience::RepairCoordinator repair(
         ctx, codec, ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2));
     repair.set_purge_orphans(true);
     const SimTime t0 = bench.cluster().now_quiesced();
-    bench.spawn(repair_proc(&repair));
+    ctx.sim->spawn(repair_proc(&repair));
     bench.run();
     out.repair_ms = units::to_ms(bench.cluster().now_quiesced() - t0);
     out.fragments_rebuilt = repair.stats().fragments_rebuilt;
@@ -201,7 +151,7 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
 
 void print_run(const std::string& label, const RunOut& run) {
   print_cell(label);
-  print_cell(run.merged.throughput_ops_per_s(run.makespan_ns));
+  print_cell(run.throughput_ops_s());
   print_cell(units::to_us(static_cast<SimDur>(run.merged.read_latency.mean())));
   print_cell(units::to_us(run.merged.read_latency.p99()));
   print_cell(100.0 * run.availability());

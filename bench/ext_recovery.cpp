@@ -79,15 +79,8 @@ int main(int argc, char** argv) {
        {std::size_t{16} * 1024, std::size_t{64} * 1024,
         std::size_t{256} * 1024, std::size_t{1024} * 1024}) {
     Testbench bench(cluster::ri_qdr(), 5, 1, resilience::Design::kEraCeCd);
-    resilience::EngineContext ctx;
-    ctx.sim = &bench.sim();
-    ctx.client = &bench.cluster().client(0);
-    ctx.ring = &bench.cluster().ring();
-    ctx.membership = &bench.cluster().membership();
-    ctx.server_nodes = &bench.cluster().server_nodes();
+    resilience::EngineContext ctx = bench.cluster().engine_context(0);
     ctx.materialize = false;
-    ctx.tracer = &ObsSession::instance().tracer();
-    ctx.trace_pid = bench.trace_pid();
     ec::RsVandermondeCodec codec(3, 2);
     resilience::RepairCoordinator repair(
         ctx, codec,

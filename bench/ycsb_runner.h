@@ -1,6 +1,8 @@
-// Shared YCSB multi-client runner for the FIG11/FIG12 harnesses: builds a
-// testbed cluster with one engine per client, preloads the record set, runs
-// every client's op stream concurrently, and merges the results.
+// The one YCSB driver every YCSB harness shares: ycsb_preload() loads the
+// record set, ycsb_pass() runs every client's op stream concurrently and
+// merges the results. run_ycsb() wraps both around a Testbench for the
+// FIG11/FIG12 points; the fault, gray-failure and scale-out harnesses put
+// their fault, monitor or placement setup between the two calls.
 //
 // Scale note: the paper preloads 250K records and runs 2.5K ops on each of
 // 150 clients. The simulated runs keep the 150-client concurrency (that is
@@ -8,53 +10,18 @@
 // set HPRES_BENCH_SCALE to grow them.
 #pragma once
 
+#include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "bench_util.h"
 #include "cluster/fault_schedule.h"
 #include "workload/ycsb.h"
 
 namespace hpres::bench {
-
-struct YcsbRun {
-  workload::YcsbResult merged;  ///< all clients
-  SimDur makespan_ns = 0;       ///< first op to last completion
-  /// Measured-pass percentile rows ({op, scheme, degraded}, p50..p99.9)
-  /// from the always-on LatencyRecorder; preload ops are excluded.
-  std::vector<obs::LatencyRow> latency;
-  /// Hedging / failure-handling counters summed over all client engines
-  /// (measured pass; the preload runs before a fault or hedge can fire).
-  std::uint64_t hedged_gets = 0;
-  std::uint64_t hedges_fired = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t hedges_suppressed = 0;
-  std::uint64_t hedge_wasted_bytes = 0;
-  std::uint64_t failover_fetches = 0;
-  std::uint64_t degraded_gets = 0;
-  /// Fabric counters at quiescence, merged over all shards (conservation
-  /// identities: sent == delivered + dropped, in bytes and messages).
-  net::FabricStats fabric;
-  /// Simulator events executed over the whole run (all shards).
-  std::uint64_t sim_events = 0;
-  /// Runtime execution profile (per-shard events / barrier stall / lane
-  /// traffic, window advance stats). A hook-free oracle run takes no
-  /// round.
-  sim::RuntimeProfile profile;
-
-  [[nodiscard]] double throughput_ops_s() const {
-    return merged.throughput_ops_per_s(makespan_ns);
-  }
-  [[nodiscard]] double avg_read_us() const {
-    return units::to_us(
-        static_cast<SimDur>(merged.read_latency.mean()));
-  }
-  [[nodiscard]] double avg_write_us() const {
-    return units::to_us(
-        static_cast<SimDur>(merged.write_latency.mean()));
-  }
-};
 
 /// Epoch-invalidated memo of HashRing::primary_index. Primary resolution
 /// walks the ring's point map (log |ring| per lookup); workload tooling
@@ -93,28 +60,133 @@ class PrimaryCache {
   std::uint64_t lookups_ = 0;
 };
 
-namespace detail {
+/// Every client's engine, indexed by client (Testbench::engines() or a
+/// self-assembled harness's own vector).
+using Engines = std::vector<std::unique_ptr<resilience::Engine>>;
 
-// Completion is tracked by the harness running every shard loop to
-// quiescence (Testbench::run); the per-proc latch the runner once counted
-// down was never awaited, and a shared latch would not be shard-safe.
-
-inline sim::Task<void> client_proc(sim::Simulator* sim,
-                                   resilience::Engine* engine,
-                                   workload::YcsbConfig cfg,
-                                   std::uint64_t seed,
-                                   workload::YcsbResult* result) {
-  co_await workload::ycsb_client(sim, engine, cfg, seed, result);
+/// Preloads records [0, record_count), partitioned over min(8, clients)
+/// loaders, each on its own client's shard loop; runs to quiescence.
+inline void ycsb_preload(cluster::Cluster& cluster, const Engines& engines,
+                         const workload::YcsbConfig& cfg) {
+  const std::size_t loaders = std::min<std::size_t>(8, engines.size());
+  const std::uint64_t stride = (cfg.record_count + loaders - 1) / loaders;
+  for (std::size_t l = 0; l < loaders; ++l) {
+    const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
+    const std::uint64_t last =
+        std::min<std::uint64_t>(first + stride, cfg.record_count);
+    if (first >= last) continue;
+    sim::Simulator& sim = cluster.sim_for_client(l);
+    sim.spawn(workload::ycsb_load(&sim, engines[l].get(), cfg, first, last));
+  }
+  cluster.run();
 }
 
-inline sim::Task<void> loader_proc(sim::Simulator* sim,
-                                   resilience::Engine* engine,
-                                   workload::YcsbConfig cfg,
-                                   std::uint64_t first, std::uint64_t last) {
-  co_await workload::ycsb_load(sim, engine, cfg, first, last);
+namespace detail {
+
+/// One client's op stream, stamping its own finish time.
+inline sim::Task<void> timed_client(sim::Simulator* sim,
+                                    resilience::Engine* engine,
+                                    workload::YcsbConfig cfg,
+                                    std::uint64_t seed,
+                                    workload::YcsbResult* result,
+                                    SimTime* finished) {
+  co_await workload::ycsb_client(sim, engine, cfg, seed, result);
+  *finished = sim->now();
 }
 
 }  // namespace detail
+
+/// One measured pass over every client.
+struct YcsbPass {
+  workload::YcsbResult merged;  ///< all clients
+  /// Pass start to the latest client finish: what the client fleet
+  /// observes. The quiesced clock would also charge server background
+  /// work, migrations and stray RPC timers that outlive the last op.
+  SimDur makespan_ns = 0;
+  /// Percentile rows ({op, scheme, degraded}, p50..p99.9) over the
+  /// engines' latency recorders; the pass clears them first, so preload
+  /// ops are excluded.
+  std::vector<obs::LatencyRow> latency;
+
+  [[nodiscard]] double throughput_ops_s() const {
+    return merged.throughput_ops_per_s(makespan_ns);
+  }
+  /// Ops resolved OK / ops issued (1.0 for an empty pass).
+  [[nodiscard]] double availability() const {
+    const double ops = static_cast<double>(merged.reads + merged.writes);
+    if (ops <= 0.0) return 1.0;
+    return 1.0 - static_cast<double>(merged.failures) / ops;
+  }
+};
+
+/// Runs every client's op stream concurrently on its own shard loop
+/// (client c seeded cfg.seed + 1000 + c) to quiescence. Fault schedules
+/// and monitors armed before the call fire from the runtime's quiesce
+/// hooks.
+inline YcsbPass ycsb_pass(cluster::Cluster& cluster, const Engines& engines,
+                          const workload::YcsbConfig& cfg) {
+  std::vector<obs::LatencyRecorder*> recorders;
+  for (const auto& engine : engines) {
+    obs::LatencyRecorder* r = engine->recorder();
+    if (r != nullptr && std::find(recorders.begin(), recorders.end(), r) ==
+                            recorders.end()) {
+      recorders.push_back(r);
+    }
+  }
+  for (obs::LatencyRecorder* r : recorders) r->clear();
+
+  const std::size_t clients = engines.size();
+  const SimTime start = cluster.now_quiesced();
+  std::vector<workload::YcsbResult> results(clients);
+  std::vector<SimTime> finished(clients, start);
+  for (std::size_t c = 0; c < clients; ++c) {
+    sim::Simulator& sim = cluster.sim_for_client(c);
+    sim.spawn(detail::timed_client(&sim, engines[c].get(), cfg,
+                                   cfg.seed + 1000 + c, &results[c],
+                                   &finished[c]));
+  }
+  cluster.run();
+
+  YcsbPass pass;
+  pass.makespan_ns = *std::max_element(finished.begin(), finished.end()) -
+                     start;
+  for (const auto& r : results) pass.merged.merge(r);
+  obs::LatencyRecorder merged;
+  for (const obs::LatencyRecorder* r : recorders) merged.merge(*r);
+  pass.latency = merged.rows();
+  return pass;
+}
+
+/// One run_ycsb point: the measured pass plus engine and runtime totals.
+struct YcsbRun : YcsbPass {
+  /// Hedging / failure-handling counters summed over all client engines
+  /// (measured pass; the preload runs before a fault or hedge can fire).
+  std::uint64_t hedged_gets = 0;
+  std::uint64_t hedges_fired = 0;
+  std::uint64_t hedge_wins = 0;
+  std::uint64_t hedges_suppressed = 0;
+  std::uint64_t hedge_wasted_bytes = 0;
+  std::uint64_t failover_fetches = 0;
+  std::uint64_t degraded_gets = 0;
+  /// Fabric counters at quiescence, merged over all shards (conservation
+  /// identities: sent == delivered + dropped, in bytes and messages).
+  net::FabricStats fabric;
+  /// Simulator events executed over the whole run (all shards).
+  std::uint64_t sim_events = 0;
+  /// Runtime execution profile (per-shard events / barrier stall / lane
+  /// traffic, window advance stats). A hook-free oracle run takes no
+  /// round.
+  sim::RuntimeProfile profile;
+
+  [[nodiscard]] double avg_read_us() const {
+    return units::to_us(
+        static_cast<SimDur>(merged.read_latency.mean()));
+  }
+  [[nodiscard]] double avg_write_us() const {
+    return units::to_us(
+        static_cast<SimDur>(merged.write_latency.mean()));
+  }
+};
 
 /// Knobs for run_ycsb beyond the testbed/design/workload triple.
 struct YcsbRunOpts {
@@ -139,58 +211,28 @@ struct YcsbRunOpts {
 };
 
 inline YcsbRun run_ycsb(const cluster::Testbed& bed,
-                        resilience::Design design, workload::YcsbConfig cfg,
-                        const YcsbRunOpts& opts) {
-  const std::size_t clients = opts.clients;
-  Testbench bench(bed, opts.servers, clients, design, 3, 2, opts.rep_factor,
-                  opts.arpe, opts.hedge, opts.point_label, {}, opts.shards);
+                        resilience::Design design,
+                        const workload::YcsbConfig& cfg,
+                        const YcsbRunOpts& opts = {}) {
+  Testbench bench(bed, opts.servers, opts.clients, design, 3, 2,
+                  opts.rep_factor, opts.arpe, opts.hedge, opts.point_label,
+                  {}, opts.shards);
   if (opts.policy) bench.cluster().set_rpc_policy(*opts.policy);
   cluster::FaultSchedule faults(bench.cluster());
-
-  // Preload, partitioned over a handful of loader clients. Each loader runs
-  // on its own client's shard; run() drives every shard loop to quiescence.
-  const std::size_t loaders = std::min<std::size_t>(8, clients);
-  {
-    const std::uint64_t stride =
-        (cfg.record_count + loaders - 1) / loaders;
-    for (std::size_t l = 0; l < loaders; ++l) {
-      const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
-      const std::uint64_t last = std::min<std::uint64_t>(
-          first + stride, cfg.record_count);
-      if (first >= last) continue;
-      bench.spawn_client(
-          l, detail::loader_proc(&bench.cluster().sim_for_client(l),
-                                 &bench.engine(l), cfg, first, last));
-    }
-    bench.run();
-  }
-  // Percentiles cover the measured pass only (preload ops dropped; their
-  // span detail is also not tail-kept, which is the point of the preload).
-  bench.clear_latency();
-
-  // Measured phase: every client runs its stream concurrently.
-  YcsbRun run;
-  std::vector<workload::YcsbResult> results(clients);
-  const SimTime start = bench.cluster().now_quiesced();
+  ycsb_preload(bench.cluster(), bench.engines(), cfg);
   if (opts.slow_factor > 1.0) {
-    faults.add_slowdown(start, opts.slow_server, opts.slow_factor);
+    faults.add_slowdown(bench.cluster().now_quiesced(), opts.slow_server,
+                        opts.slow_factor);
     faults.arm();
   }
-  for (std::size_t c = 0; c < clients; ++c) {
-    bench.spawn_client(
-        c, detail::client_proc(&bench.cluster().sim_for_client(c),
-                               &bench.engine(c), cfg, cfg.seed + 1000 + c,
-                               &results[c]));
-  }
-  bench.run();
-  run.makespan_ns = bench.cluster().now_quiesced() - start;
-  for (const auto& r : results) run.merged.merge(r);
-  run.latency = bench.latency_rows();
+  YcsbRun run;
+  static_cast<YcsbPass&>(run) =
+      ycsb_pass(bench.cluster(), bench.engines(), cfg);
   run.fabric = bench.cluster().fabric().stats();
   run.sim_events = bench.cluster().runtime().events_executed();
   run.profile = bench.cluster().runtime().profile();
-  for (std::size_t c = 0; c < clients; ++c) {
-    const resilience::EngineStats& eng = bench.engine(c).stats();
+  for (const auto& engine : bench.engines()) {
+    const resilience::EngineStats& eng = engine->stats();
     run.hedged_gets += eng.hedged_gets;
     run.hedges_fired += eng.hedges_fired;
     run.hedge_wins += eng.hedge_wins;
@@ -200,19 +242,6 @@ inline YcsbRun run_ycsb(const cluster::Testbed& bed,
     run.degraded_gets += eng.degraded_gets;
   }
   return run;
-}
-
-/// Back-compat shim for the original positional signature.
-inline YcsbRun run_ycsb(const cluster::Testbed& bed,
-                        resilience::Design design,
-                        workload::YcsbConfig cfg, std::size_t servers = 5,
-                        std::size_t clients = 150,
-                        std::uint32_t rep_factor = 3) {
-  YcsbRunOpts opts;
-  opts.servers = servers;
-  opts.clients = clients;
-  opts.rep_factor = rep_factor;
-  return run_ycsb(bed, design, cfg, opts);
 }
 
 /// Testbed variant that swaps the fabric for IPoIB (the Memc-IPoIB

@@ -73,12 +73,7 @@ int main() {
       ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
   cl.enable_server_ec(codec, cost, /*materialize=*/false);
 
-  resilience::EngineContext ctx;
-  ctx.sim = &cl.sim();
-  ctx.client = &cl.client(0);
-  ctx.ring = &cl.ring();
-  ctx.membership = &cl.membership();
-  ctx.server_nodes = &cl.server_nodes();
+  resilience::EngineContext ctx = cl.engine_context(0);
   ctx.materialize = false;
   const auto engine = resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost);

@@ -73,15 +73,9 @@ int main() {
       ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
   cl.enable_server_ec(codec, cost, /*materialize=*/true);
 
-  resilience::EngineContext ctx;
-  ctx.sim = &cl.sim();
-  ctx.client = &cl.client(0);
-  ctx.ring = &cl.ring();
-  ctx.membership = &cl.membership();
-  ctx.server_nodes = &cl.server_nodes();
-  ctx.materialize = true;  // real bytes: the reconstruction is genuine
-  const auto engine = resilience::make_engine(resilience::Design::kEraCeCd,
-                                              ctx, 3, &codec, cost);
+  // Real bytes (the context's default): the reconstruction is genuine.
+  const auto engine = resilience::make_engine(
+      resilience::Design::kEraCeCd, cl.engine_context(0), 3, &codec, cost);
 
   cl.start();
   cl.sim().spawn(walkthrough(&cl, engine.get()));

@@ -27,12 +27,7 @@ struct Setup {
         cost(ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2,
                                      /*cpu=*/1.8)) {
     cluster.enable_server_ec(codec, cost, /*materialize=*/false);
-    resilience::EngineContext ctx;
-    ctx.sim = &cluster.sim();
-    ctx.client = &cluster.client(0);
-    ctx.ring = &cluster.ring();
-    ctx.membership = &cluster.membership();
-    ctx.server_nodes = &cluster.server_nodes();
+    resilience::EngineContext ctx = cluster.engine_context(0);
     ctx.materialize = false;
     engine = resilience::make_engine(design, ctx, 3, &codec, cost);
     cluster.start();

@@ -56,15 +56,9 @@ int main() {
       ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
   cl.enable_server_ec(codec, cost, /*materialize=*/true);
 
-  resilience::EngineContext ctx;
-  ctx.sim = &cl.sim();
-  ctx.client = &cl.client(0);
-  ctx.ring = &cl.ring();
-  ctx.membership = &cl.membership();
-  ctx.server_nodes = &cl.server_nodes();
-  ctx.materialize = true;  // real bytes, real encoding
+  // Client 0's engine wiring; real bytes, real encoding by default.
   const auto engine = resilience::make_engine(
-      resilience::Design::kEraCeCd, ctx, 3, &codec, cost);
+      resilience::Design::kEraCeCd, cl.engine_context(0), 3, &codec, cost);
 
   cl.start();
   cl.sim().spawn(demo(&cl, engine.get()));

@@ -29,6 +29,8 @@ runs=(
   "fig12_ycsb_throughput"
   "ext_online_failure"
   "ext_gray_failure --shards=4"
+  "ext_scaleout"
+  "ext_scaleout --shards=3"
 )
 
 status=0

@@ -52,6 +52,20 @@ Cluster::Cluster(ClusterConfig config)
 
 Cluster::~Cluster() { merge_obs_domains(); }
 
+resilience::EngineContext Cluster::engine_context(std::size_t client) const {
+  kv::Client& c = *clients_.at(client);
+  resilience::EngineContext ctx;
+  ctx.sim = &c.sim();
+  ctx.client = &c;
+  ctx.ring = &ring_;
+  ctx.membership = &membership_;
+  ctx.server_nodes = &server_nodes_;
+  ctx.tracer = tracer_for_node(c.id());
+  ctx.trace_pid = trace_pid_;
+  ctx.flight = flight_domain_of(c.id());
+  return ctx;
+}
+
 void Cluster::set_tracer(obs::Tracer* tracer, std::uint32_t pid) {
   tracer_ = tracer;
   trace_pid_ = pid;

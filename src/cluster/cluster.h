@@ -17,6 +17,7 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "resilience/engine.h"
 #include "sim/shard_runtime.h"
 
 namespace hpres::cluster {
@@ -137,13 +138,13 @@ class Cluster {
 
   /// The tracer domain that nodes of shard `s` record into (the attached
   /// tracer itself in oracle mode; nullptr when tracing is off).
-  [[nodiscard]] obs::Tracer* tracer_domain(std::size_t s) noexcept {
+  [[nodiscard]] obs::Tracer* tracer_domain(std::size_t s) const noexcept {
     return shard_tracers_.empty() ? tracer_ : shard_tracers_[s].get();
   }
-  [[nodiscard]] obs::Tracer* tracer_for_node(net::NodeId node) noexcept {
+  [[nodiscard]] obs::Tracer* tracer_for_node(net::NodeId node) const noexcept {
     return tracer_domain(fabric_.shard_of(node));
   }
-  [[nodiscard]] obs::Tracer* tracer_for_client(std::size_t i) noexcept {
+  [[nodiscard]] obs::Tracer* tracer_for_client(std::size_t i) const noexcept {
     return tracer_for_node(static_cast<net::NodeId>(config_.num_servers + i));
   }
   [[nodiscard]] std::uint32_t trace_pid() const noexcept { return trace_pid_; }
@@ -175,11 +176,18 @@ class Cluster {
   /// attached recorder itself in oracle mode; nullptr when none). Each
   /// domain carries rings for every node — only the writer is per-shard.
   [[nodiscard]] obs::FlightRecorder* flight_domain_of(
-      net::NodeId node) noexcept {
+      net::NodeId node) const noexcept {
     return shard_flights_.empty()
                ? flight_
                : shard_flights_[fabric_.shard_of(node)].get();
   }
+
+  /// The engine wiring for client `client`: its own shard's event loop,
+  /// tracer domain and flight domain, the cluster's ring, membership,
+  /// server list and trace pid. Callers override only what differs (size-
+  /// only `materialize`, a `recorder`, a previous-epoch `ring`).
+  [[nodiscard]] resilience::EngineContext engine_context(
+      std::size_t client) const;
 
   /// Deterministic merge of the per-shard observability domains into the
   /// attached parent instruments, in ascending shard order (the canonical

@@ -253,6 +253,10 @@ class Engine {
   [[nodiscard]] EngineStats& stats() noexcept { return stats_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] Arpe& arpe() noexcept { return arpe_; }
+  /// The latency recorder top-level ops land in (nullptr when none).
+  [[nodiscard]] obs::LatencyRecorder* recorder() const noexcept {
+    return ctx_.recorder;
+  }
 
   /// The per-server load tracker behind load-aware read-set selection, or
   /// nullptr for engines without one (benchmarks export its estimates as

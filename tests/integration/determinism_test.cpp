@@ -28,12 +28,7 @@ RunOutcome run_small_ycsb(std::uint64_t seed) {
   cl.enable_server_ec(codec, cost, false);
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < 4; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim();
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
+    resilience::EngineContext ctx = cl.engine_context(c);
     ctx.materialize = false;
     engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost));
@@ -112,15 +107,8 @@ ObsOutcome run_instrumented_ycsb(std::uint64_t seed) {
   cl.set_tracer(&tracer, pid);
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < 2; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim();
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
+    resilience::EngineContext ctx = cl.engine_context(c);
     ctx.materialize = false;
-    ctx.tracer = &tracer;
-    ctx.trace_pid = pid;
     engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost));
   }

@@ -40,35 +40,24 @@ struct Harness {
                                   .shards = shards}) {
     cl.enable_server_ec(codec, cost, /*materialize=*/true);
     manager = std::make_unique<cluster::PlacementManager>(
-        cl, codec, cost, context(kClients - 1, &cl.ring()),
+        cl, codec, cost, cl.engine_context(kClients - 1),
         cluster::PlacementParams{.migrate_batch = 16,
                                  .batch_pause_ns = 5'000});
     cl.set_placement_view(manager->view());
     for (std::size_t c = 0; c + 1 < kClients; ++c) {
       engines.push_back(resilience::make_engine(
-          resilience::Design::kEraCeCd, context(c, &cl.ring()), 3, &codec,
+          resilience::Design::kEraCeCd, cl.engine_context(c), 3, &codec,
           cost));
       // prev engines resolve against the pre-cutover snapshot: while a
       // transition is in flight, Get misses retry through them.
+      resilience::EngineContext prev = cl.engine_context(c);
+      prev.ring = &manager->prev_ring();
       prev_engines.push_back(resilience::make_engine(
-          resilience::Design::kEraCeCd, context(c, &manager->prev_ring()),
-          3, &codec, cost));
+          resilience::Design::kEraCeCd, prev, 3, &codec, cost));
       engines[c]->attach_placement(manager->view());
       engines[c]->set_prev_engine(prev_engines[c].get());
     }
     cl.start();
-  }
-
-  resilience::EngineContext context(std::size_t client,
-                                    const kv::HashRing* ring) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim_for_client(client);
-    ctx.client = &cl.client(client);
-    ctx.ring = ring;
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = true;
-    return ctx;
   }
 
   ec::RsVandermondeCodec codec;

@@ -76,21 +76,10 @@ ObsOutcome run_observed_ycsb(std::size_t shards, std::uint64_t seed,
 
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < kClients; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim_for_client(c);
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
+    // Engines write into their own shard's domain — the single-writer
+    // discipline every other instrument follows.
+    resilience::EngineContext ctx = cl.engine_context(c);
     ctx.materialize = false;
-    if (knobs.observe) {
-      // Engines write into their own shard's domain — the single-writer
-      // discipline every other instrument follows.
-      ctx.tracer = cl.tracer_for_client(c);
-      ctx.trace_pid = pid;
-      ctx.flight = cl.flight_domain_of(
-          static_cast<net::NodeId>(kServers + c));
-    }
     engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost));
   }
@@ -241,6 +230,50 @@ TEST(ShardedObs, HealthWindowSumsMatchOracle) {
   ASSERT_GT(oracle.health_responses, 0u);
   EXPECT_EQ(sharded.health_responses, oracle.health_responses);
   EXPECT_EQ(sharded.health_timeouts, oracle.health_timeouts);
+}
+
+// Cluster::engine_context wires client i into its own shard: that shard's
+// event loop, tracer domain and flight domain, plus the cluster's pid. At
+// one shard every client gets the single loop and the attached instruments.
+TEST(ShardedObs, EngineContextUsesTheClientsShard) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(shards);
+    cluster::ClusterConfig config{.num_servers = kServers,
+                                  .num_clients = kClients};
+    config.shards = shards;
+    cluster::Cluster cl(config);
+    obs::Tracer tracer(true);
+    const std::uint32_t pid = tracer.declare_process("engine-context-pt");
+    obs::FlightRecorder flight(16);
+    cl.set_tracer(&tracer, pid);
+    cl.set_flight_recorder(&flight);
+    std::set<obs::FlightRecorder*> flights;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      const resilience::EngineContext ctx = cl.engine_context(c);
+      // Clients are dealt round-robin over the shards.
+      const std::size_t shard = c % shards;
+      EXPECT_EQ(ctx.sim, &cl.runtime().shard(shard));
+      EXPECT_EQ(ctx.client, &cl.client(c));
+      EXPECT_EQ(ctx.ring, &cl.ring());
+      EXPECT_EQ(ctx.membership, &cl.membership());
+      EXPECT_EQ(ctx.server_nodes, &cl.server_nodes());
+      EXPECT_EQ(ctx.tracer, cl.tracer_domain(shard));
+      EXPECT_EQ(ctx.trace_pid, pid);
+      // Server `shard` is dealt to shard `shard` too.
+      EXPECT_EQ(ctx.flight,
+                cl.flight_domain_of(static_cast<net::NodeId>(shard)));
+      flights.insert(ctx.flight);
+      if (shards == 1) {
+        EXPECT_EQ(ctx.sim, &cl.sim());
+        EXPECT_EQ(ctx.tracer, &tracer);
+        EXPECT_EQ(ctx.flight, &flight);
+      } else {
+        EXPECT_NE(ctx.tracer, &tracer);
+        EXPECT_NE(ctx.flight, &flight);
+      }
+    }
+    EXPECT_EQ(flights.size(), shards);
+  }
 }
 
 }  // namespace

@@ -65,15 +65,8 @@ PipelineOutcome run_pipeline(bool traced, bool fail_server,
   cl.set_tracer(&tracer, pid);
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < clients; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim();
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
+    resilience::EngineContext ctx = cl.engine_context(c);
     ctx.materialize = false;
-    ctx.tracer = &tracer;
-    ctx.trace_pid = pid;
     ctx.recorder = &recorder;
     engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost));

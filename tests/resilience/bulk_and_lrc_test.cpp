@@ -104,14 +104,7 @@ TEST(LrcEngine, EndToEndOnTenServers) {
   cluster::Cluster cl(
       cluster::ClusterConfig{.num_servers = 10, .num_clients = 1});
   cl.enable_server_ec(lrc, cost, true);
-  resilience::EngineContext ctx;
-  ctx.sim = &cl.sim();
-  ctx.client = &cl.client(0);
-  ctx.ring = &cl.ring();
-  ctx.membership = &cl.membership();
-  ctx.server_nodes = &cl.server_nodes();
-  ctx.materialize = true;
-  ErasureEngine engine(ctx, lrc, cost, EraMode::kCeCd);
+  ErasureEngine engine(cl.engine_context(0), lrc, cost, EraMode::kCeCd);
   cl.start();
   struct Body {
     static sim::Task<void> run(ErasureEngine* e, cluster::Cluster* cl2) {

@@ -17,15 +17,9 @@ class HybridTest : public FiveNodeClusterTest {
   static constexpr std::size_t kThreshold = 16 * 1024;
 
   std::unique_ptr<HybridEngine> make_hybrid() {
-    EngineContext ctx;
-    ctx.sim = &cluster_.sim();
-    ctx.client = &cluster_.client(0);
-    ctx.ring = &cluster_.ring();
-    ctx.membership = &cluster_.membership();
-    ctx.server_nodes = &cluster_.server_nodes();
-    ctx.materialize = true;
     // rep_factor m+1 = 3 keeps tolerance uniform at 2 across schemes.
-    return std::make_unique<HybridEngine>(ctx, codec_, cost_, 3, kThreshold);
+    return std::make_unique<HybridEngine>(cluster_.engine_context(0), codec_,
+                                          cost_, 3, kThreshold);
   }
 };
 

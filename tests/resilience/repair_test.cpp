@@ -15,14 +15,8 @@ using hpres::testing::run_sim;
 class RepairTest : public FiveNodeClusterTest {
  protected:
   std::unique_ptr<RepairCoordinator> make_coordinator() {
-    EngineContext ctx;
-    ctx.sim = &cluster_.sim();
-    ctx.client = &cluster_.client(0);
-    ctx.ring = &cluster_.ring();
-    ctx.membership = &cluster_.membership();
-    ctx.server_nodes = &cluster_.server_nodes();
-    ctx.materialize = true;
-    return std::make_unique<RepairCoordinator>(ctx, codec_, cost_);
+    return std::make_unique<RepairCoordinator>(cluster_.engine_context(0),
+                                               codec_, cost_);
   }
 };
 

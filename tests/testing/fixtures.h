@@ -47,15 +47,9 @@ class FiveNodeClusterTest : public ::testing::Test {
       resilience::Design design, std::uint32_t rep_factor = 3,
       resilience::ArpeParams arpe = {}, resilience::HedgeParams hedge = {},
       resilience::PackParams pack = {}) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cluster_.sim();
-    ctx.client = &cluster_.client(0);
-    ctx.ring = &cluster_.ring();
-    ctx.membership = &cluster_.membership();
-    ctx.server_nodes = &cluster_.server_nodes();
-    ctx.materialize = true;
-    return resilience::make_engine(design, ctx, rep_factor, &codec_, cost_,
-                                   arpe, hedge, pack);
+    return resilience::make_engine(design, cluster_.engine_context(0),
+                                   rep_factor, &codec_, cost_, arpe, hedge,
+                                   pack);
   }
 
   ec::RsVandermondeCodec codec_;
