@@ -31,6 +31,9 @@ runs=(
   "ext_gray_failure --shards=4"
   "ext_scaleout"
   "ext_scaleout --shards=3"
+  "abl_ssd"
+  "ext_recovery"
+  "fig09_breakdown"
 )
 
 status=0

@@ -42,13 +42,12 @@ std::vector<SharedBytes> encode_fragments(const Codec& codec,
                                           const Bytes* value) {
   assert(layout.k == codec.k());
   std::vector<SharedBytes> out;
-  out.reserve(codec.n());
   if (value == nullptr) {
-    for (std::size_t i = 0; i < codec.n(); ++i) {
-      out.push_back(zero_bytes(layout.fragment_size));
-    }
+    // One cache lookup (and one lock) per value, not per fragment.
+    out.assign(codec.n(), zero_bytes(layout.fragment_size));
     return out;
   }
+  out.reserve(codec.n());
   std::vector<Bytes> data = split_value(*value, layout);
   const std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
   std::vector<Bytes> parity(codec.m(), Bytes(layout.fragment_size));

@@ -68,17 +68,38 @@ class HashRing {
   /// Index (into the server list) of the key's designated primary server.
   [[nodiscard]] std::size_t primary_index(std::string_view key) const;
 
+  /// A key's resolved position on the ring: one hash and one ring walk
+  /// answer every slot of the key. slot(i) == slot_index(key, i) while the
+  /// ring is unchanged; add_server/remove_server invalidate it.
+  class Placement {
+   public:
+    [[nodiscard]] std::size_t slot(std::size_t i) const {
+      return (*active_)[(pos_ + i) % active_->size()];
+    }
+
+   private:
+    friend class HashRing;
+    Placement(const std::vector<std::size_t>* active, std::size_t pos)
+        : active_(active), pos_(pos) {}
+    const std::vector<std::size_t>* active_;
+    std::size_t pos_;  ///< the primary's position in the active list
+  };
+
+  [[nodiscard]] Placement placement(std::string_view key) const {
+    const std::size_t primary = primary_index(key);
+    const auto it =
+        std::lower_bound(active_.begin(), active_.end(), primary);
+    return Placement{&active_,
+                     static_cast<std::size_t>(it - active_.begin())};
+  }
+
   /// Server-list index holding slot `slot` of this key: the primary for
   /// slot 0, then following *active* servers in list order, wrapping.
   /// With every provisioned server active this is the classic
   /// (primary + slot) % num_servers rule.
   [[nodiscard]] std::size_t slot_index(std::string_view key,
                                        std::size_t slot) const {
-    const std::size_t primary = primary_index(key);
-    const auto it =
-        std::lower_bound(active_.begin(), active_.end(), primary);
-    const auto pos = static_cast<std::size_t>(it - active_.begin());
-    return active_[(pos + slot) % active_.size()];
+    return placement(key).slot(slot);
   }
 
   /// 64-bit key hash (exposed for tests and workload tooling).

@@ -19,23 +19,27 @@ sim::Future<Response> RpcNode::call(NodeId dst, Request req) {
   req.rpc_id = next_rpc_++;
   req.reply_to = id_;
   last_call_id_ = req.rpc_id;
-  pending_.emplace(req.rpc_id,
-                   PendingCall{std::move(promise), dst, sim_->now()});
+  pending_.insert(rpc_hash(req.rpc_id),
+                  PendingCall{req.rpc_id, std::move(promise), dst,
+                              sim_->now()});
   const std::size_t bytes = payload_bytes(req);
   const obs::TraceContext trace = req.trace;
   fabric_->send(id_, dst, WireBody{std::move(req)}, bytes, trace);
   return future;
 }
 
+void RpcNode::cancel(std::uint64_t rpc_id) {
+  pending_.erase(rpc_hash(rpc_id), is_call(rpc_id));
+}
+
 void RpcNode::cancel_resolve(std::uint64_t rpc_id) {
-  const auto it = pending_.find(rpc_id);
-  if (it == pending_.end()) return;
-  sim::Promise<Response> promise = std::move(it->second.promise);
-  pending_.erase(it);
+  std::optional<PendingCall> call =
+      pending_.take(rpc_hash(rpc_id), is_call(rpc_id));
+  if (!call) return;
   Response cancelled;
   cancelled.rpc_id = rpc_id;
   cancelled.code = StatusCode::kCancelled;
-  promise.set_value(std::move(cancelled));
+  call->promise.set_value(std::move(cancelled));
 }
 
 sim::Task<Response> RpcNode::call_guarded(NodeId dst, Request req) {
@@ -109,15 +113,14 @@ sim::Task<void> RpcNode::dispatch_loop(RpcNode* self) {
       self->on_request(std::move(*env));
     } else {
       auto& resp = std::get<Response>(env->body);
-      const auto it = self->pending_.find(resp.rpc_id);
-      if (it == self->pending_.end()) continue;  // stale/duplicate response
-      sim::Promise<Response> promise = std::move(it->second.promise);
+      std::optional<PendingCall> call =
+          self->pending_.take(rpc_hash(resp.rpc_id), is_call(resp.rpc_id));
+      if (!call) continue;  // stale/duplicate response
       if (self->health_ != nullptr) {
-        self->health_->on_response(static_cast<std::size_t>(it->second.dst),
-                                   self->sim_->now() - it->second.sent_at);
+        self->health_->on_response(static_cast<std::size_t>(call->dst),
+                                   self->sim_->now() - call->sent_at);
       }
-      self->pending_.erase(it);
-      promise.set_value(std::move(resp));
+      call->promise.set_value(std::move(resp));
     }
   }
 }

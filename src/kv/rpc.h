@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "kv/flat_map.h"
 #include "kv/protocol.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
@@ -119,7 +119,7 @@ class RpcNode {
 
   /// Abandons a pending call: its future will never resolve through the
   /// dispatch loop, and a late response is ignored as stale.
-  void cancel(std::uint64_t rpc_id) { pending_.erase(rpc_id); }
+  void cancel(std::uint64_t rpc_id);
 
   /// Abandons a pending call AND resolves its future with kCancelled, so a
   /// coroutine awaiting that future unwinds instead of leaking parked until
@@ -161,17 +161,27 @@ class RpcNode {
   /// One in-flight call: the promise to resolve plus where/when it went,
   /// so the dispatch loop can attribute the RTT to the destination.
   struct PendingCall {
+    std::uint64_t rpc_id = 0;
     sim::Promise<Response> promise;
     NodeId dst = 0;
     SimTime sent_at = 0;
   };
+
+  /// Rpc ids are sequential: a Fibonacci multiply spreads them over the
+  /// pending table's low bits without collisions between nearby ids.
+  [[nodiscard]] static std::uint64_t rpc_hash(std::uint64_t id) noexcept {
+    return id * 0x9E3779B97F4A7C15ULL;
+  }
+  [[nodiscard]] static auto is_call(std::uint64_t id) noexcept {
+    return [id](const PendingCall& c) { return c.rpc_id == id; };
+  }
 
   sim::Simulator* sim_;
   KvFabric* fabric_;
   NodeId id_;
   std::uint64_t next_rpc_ = 1;
   std::uint64_t last_call_id_ = 0;  ///< rpc id issued by the latest call()
-  std::unordered_map<std::uint64_t, PendingCall> pending_;
+  FlatMap<PendingCall> pending_;
   RpcPolicy policy_;
   RpcStats rpc_stats_;
   obs::Tracer* tracer_ = nullptr;

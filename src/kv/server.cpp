@@ -388,8 +388,9 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   // Pick the fragments to aggregate, codec-aware (data slots first; LRC
   // skips linearly dependent survivor rows).
   std::vector<bool> available(n, false);
+  const HashRing::Placement place = ec.ring->placement(req.key);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (ec.membership->up(ec.ring->slot_index(req.key, slot))) {
+    if (ec.membership->up(place.slot(slot))) {
       available[slot] = true;
     }
   }

@@ -2,16 +2,20 @@
 // under a byte-capacity cap, with the accounting needed by the paper's
 // memory-efficiency experiment (Figure 10): bytes used, evictions, and the
 // bytes of cached data lost to eviction pressure.
+//
+// The memory tier and the optional SSD tier are the same structure
+// (StorageEngine::Tier): dense entries, an open-addressing key index and
+// an intrusive LRU list threaded through the entries by index. Every
+// operation hashes its key once and passes the hash to both tiers.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "kv/flat_map.h"
 #include "kv/protocol.h"
 #include "obs/metrics.h"
 
@@ -73,7 +77,7 @@ class StorageEngine {
     return ssd_capacity_ > 0;
   }
   [[nodiscard]] std::uint64_t ssd_bytes_used() const noexcept {
-    return ssd_used_;
+    return ssd_.used();
   }
   [[nodiscard]] std::uint64_t ssd_capacity() const noexcept {
     return ssd_capacity_;
@@ -102,32 +106,83 @@ class StorageEngine {
   /// Drops every item from both tiers without touching the op counters —
   /// total state loss of a crashed node (FaultSchedule crash-with-wipe).
   void clear() {
-    map_.clear();
-    lru_.clear();
-    used_ = 0;
-    ssd_map_.clear();
-    ssd_lru_.clear();
-    ssd_used_ = 0;
+    mem_.clear();
+    ssd_.clear();
   }
 
   /// Snapshot of every stored key, in LRU order (most recent first). Used
   /// by the scan verb for repair discovery; O(items).
-  [[nodiscard]] std::vector<Key> keys() const {
-    return {lru_.begin(), lru_.end()};
-  }
+  [[nodiscard]] std::vector<Key> keys() const { return mem_.keys(); }
 
-  [[nodiscard]] std::uint64_t bytes_used() const noexcept { return used_; }
+  [[nodiscard]] std::uint64_t bytes_used() const noexcept {
+    return mem_.used();
+  }
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t items() const noexcept { return map_.size(); }
+  [[nodiscard]] std::size_t items() const noexcept { return mem_.size(); }
   [[nodiscard]] const StoreStats& stats() const noexcept { return stats_; }
 
  private:
   struct Entry {
+    Key key;
+    std::uint64_t hash = 0;  ///< key_hash(key), computed once per op
     SharedBytes value;
     std::optional<ChunkInfo> chunk;
     std::size_t charged_bytes = 0;
-    std::list<Key>::iterator lru_it;
   };
+
+  /// One tier: entries live densely in a vector (freed slots are reused),
+  /// the index maps key -> slot, and the LRU list links slots by index.
+  class Tier {
+   public:
+    static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+    /// Slot of `key`, or kNil.
+    [[nodiscard]] std::uint32_t find(const Key& key, std::uint64_t hash) {
+      const std::uint32_t* slot = index_.find(
+          hash, [&](std::uint32_t s) { return slots_[s].entry.key == key; });
+      return slot != nullptr ? *slot : kNil;
+    }
+    [[nodiscard]] Entry& at(std::uint32_t slot) { return slots_[slot].entry; }
+
+    /// Least recently used slot (kNil when the LRU list is empty).
+    [[nodiscard]] std::uint32_t lru_back() const noexcept { return tail_; }
+
+    /// Adds an absent key at the most-recent end.
+    void push_front(Entry entry);
+    /// Removes `slot` from the LRU list and the byte count, keeping it
+    /// indexed; relink() puts it back at the front.
+    void unlink(std::uint32_t slot);
+    void relink(std::uint32_t slot);
+    /// Moves `slot` to the most-recent end.
+    void touch(std::uint32_t slot) {
+      if (slot == head_) return;
+      unlink(slot);
+      relink(slot);
+    }
+    /// Removes `slot` entirely and returns its entry.
+    Entry take(std::uint32_t slot);
+
+    void clear();
+    [[nodiscard]] std::vector<Key> keys() const;
+    [[nodiscard]] std::uint64_t used() const noexcept { return used_; }
+    [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
+
+   private:
+    struct Slot {
+      Entry entry;
+      std::uint32_t prev = kNil;  ///< toward the most recent
+      std::uint32_t next = kNil;  ///< toward the least recent
+    };
+
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;  ///< reusable slots
+    FlatMap<std::uint32_t> index_;  ///< key hash -> slot
+    std::uint32_t head_ = kNil;  ///< most recent
+    std::uint32_t tail_ = kNil;  ///< least recent
+    std::uint64_t used_ = 0;     ///< charged bytes of linked entries
+  };
+
+  [[nodiscard]] static std::uint64_t key_hash(const Key& key) noexcept;
 
   /// Erasure-coded fragments carry a stored ChunkInfo; charge its bytes so
   /// the memory-efficiency accounting sees per-fragment metadata too.
@@ -140,17 +195,13 @@ class StorageEngine {
 
   void evict_one();
   void evict_one_from_ssd();
-  void demote_to_ssd(const Key& key, Entry entry);
+  void demote_to_ssd(Entry entry);
 
   std::uint64_t capacity_;
-  std::uint64_t used_ = 0;
-  std::unordered_map<Key, Entry> map_;
-  std::list<Key> lru_;  // front = most recent
+  Tier mem_;
   // SSD tier (enabled when ssd_capacity_ > 0).
   std::uint64_t ssd_capacity_ = 0;
-  std::uint64_t ssd_used_ = 0;
-  std::unordered_map<Key, Entry> ssd_map_;
-  std::list<Key> ssd_lru_;
+  Tier ssd_;
   StoreStats stats_;
 };
 

@@ -484,6 +484,19 @@ class Fabric {
     double loss = 0.0;  ///< per-node injected silent-loss probability
   };
 
+  /// One message between send and inbox, pooled per destination shard.
+  /// Delivery is two events, start and landing: the start runs from the
+  /// ready lane and arms the landing `delay` later; the landing settles the
+  /// in-flight counters and pushes the envelope to the inbox.
+  struct ShardState;
+  struct Delivery {
+    Fabric* fabric = nullptr;
+    ShardState* st = nullptr;
+    sim::Simulator* dsim = nullptr;
+    SimDur delay = 0;
+    Envelope<Body> env;
+  };
+
   /// Shard-owned mutable fabric state: send-side counters and the loss RNG
   /// belong to the sending shard; delivery and in-flight counters to the
   /// receiving one. Every field is single-writer (only its shard's thread
@@ -499,6 +512,8 @@ class Fabric {
     obs::Tracer* tracer = nullptr;
     obs::HealthSignals* health = nullptr;
     obs::FlightRecorder* flight = nullptr;
+    std::vector<std::unique_ptr<Delivery>> deliveries;  ///< owns every record
+    std::vector<Delivery*> free_deliveries;
   };
 
   void init_inboxes() {
@@ -564,41 +579,55 @@ class Fabric {
       }
     }
     // The in-flight charge for a cross-shard message begins here, at wire
-    // arrival, and is settled by deliver_coro — both on this (the
-    // destination) shard's thread. The post->arrival wire leg is therefore
-    // uncounted; gauges at quiescence still read zero, and per-shard
-    // counters are single-writer by construction.
-    rs.in_flight_bytes += env.wire_bytes;
-    ++rs.in_flight_messages;
-    dsim->spawn(deliver_coro(this, &rs, dsim, rx_end - dsim->now(),
-                             std::move(env)));
-  }
-
-  [[nodiscard]] ShardState& ss_of(NodeId node) {
-    return *shard_state_[node_shard_[node]];
+    // arrival, and is settled at landing — both on this (the destination)
+    // shard's thread. The post->arrival wire leg is therefore uncounted;
+    // gauges at quiescence still read zero, and per-shard counters are
+    // single-writer by construction.
+    start_delivery(rs, *dsim, rx_end - dsim->now(), std::move(env));
   }
 
   void deliver_at(SimTime when, Envelope<Body> env) {
-    sim::Simulator* dsim = node_sim_[env.dst];
-    ShardState& st = ss_of(env.dst);
-    const SimDur delay = when - dsim->now();
-    st.in_flight_bytes += env.wire_bytes;
-    ++st.in_flight_messages;
-    dsim->spawn(deliver_coro(this, &st, dsim, delay, std::move(env)));
+    sim::Simulator& dsim = *node_sim_[env.dst];
+    ShardState& st = *shard_state_[node_shard_[env.dst]];
+    start_delivery(st, dsim, when - dsim.now(), std::move(env));
   }
 
-  // Free coroutine per CP.51/CP.53: parameters by value / a raw pointer to
-  // the fabric, which owns the inboxes and must outlive every in-flight
-  // message (it does: the cluster drains the simulator before teardown).
-  static sim::Task<void> deliver_coro(Fabric* self, ShardState* st,
-                                      sim::Simulator* dsim, SimDur delay,
-                                      Envelope<Body> env) {
-    co_await dsim->delay(delay);
-    st->in_flight_bytes -= env.wire_bytes;
-    --st->in_flight_messages;
-    ++st->stats.messages_delivered;
-    st->stats.bytes_delivered += env.wire_bytes - self->params_.header_bytes;
-    self->inboxes_[env.dst]->send(std::move(env));
+  /// Charges the message in flight on the destination shard `st` and
+  /// schedules its start event on the ready lane.
+  void start_delivery(ShardState& st, sim::Simulator& dsim, SimDur delay,
+                      Envelope<Body> env) {
+    st.in_flight_bytes += env.wire_bytes;
+    ++st.in_flight_messages;
+    Delivery* d;
+    if (st.free_deliveries.empty()) {
+      d = st.deliveries.emplace_back(std::make_unique<Delivery>()).get();
+    } else {
+      d = st.free_deliveries.back();
+      st.free_deliveries.pop_back();
+    }
+    d->fabric = this;
+    d->st = &st;
+    d->dsim = &dsim;
+    d->delay = delay;
+    d->env = std::move(env);
+    dsim.schedule_action(sim::Action{&delivery_start, d});
+  }
+
+  static void delivery_start(void* arg) {
+    auto* d = static_cast<Delivery*>(arg);
+    d->dsim->schedule_action(sim::Action{&delivery_land, d}, d->delay);
+  }
+
+  static void delivery_land(void* arg) {
+    auto* d = static_cast<Delivery*>(arg);
+    ShardState& st = *d->st;
+    st.in_flight_bytes -= d->env.wire_bytes;
+    --st.in_flight_messages;
+    ++st.stats.messages_delivered;
+    st.stats.bytes_delivered +=
+        d->env.wire_bytes - d->fabric->params_.header_bytes;
+    d->fabric->inboxes_[d->env.dst]->send(std::move(d->env));
+    st.free_deliveries.push_back(d);
   }
 
   FabricParams params_;

@@ -54,8 +54,9 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
     co_await unlink_locator(key, &pending);
   }
   bool staged_sent = false;
+  const kv::HashRing::Placement place = ring().placement(key);
   for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
-    const std::size_t owner = ring().slot_index(key, slot);
+    const std::size_t owner = place.slot(slot);
     if (!membership().up(owner)) continue;
     kv::Request frag;
     frag.verb = kv::Verb::kDelete;
@@ -87,8 +88,9 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
 sim::Task<ErasureEngine::LiveSlot> ErasureEngine::pick_live_slot(
     kv::Key key) {
   LiveSlot result;
+  const kv::HashRing::Placement place = ring().placement(key);
   for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
-    if (membership().up(ring().slot_index(key, slot))) {
+    if (membership().up(place.slot(slot))) {
       result.slot = slot;
       break;
     }
@@ -153,8 +155,9 @@ ErasureEngine::FragmentFanout ErasureEngine::post_fragments(
   FragmentFanout fanout;
   fanout.pending.reserve(n);
   fanout.owners.reserve(n);
+  const kv::HashRing::Placement place = ring().placement(skey);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t owner = ring().slot_index(skey, slot);
+    const std::size_t owner = place.slot(slot);
     if (!membership().up(owner)) continue;
     kv::Request req;
     req.verb = kv::Verb::kSet;
@@ -289,9 +292,8 @@ std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
   std::vector<std::size_t> slots(n);
   std::iota(slots.begin(), slots.end(), std::size_t{0});
   std::vector<std::size_t> owners(n);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    owners[slot] = ring().slot_index(key, slot);
-  }
+  const kv::HashRing::Placement place = ring().placement(key);
+  for (std::size_t slot = 0; slot < n; ++slot) owners[slot] = place.slot(slot);
   return load_.order_slots(slots, owners, randomize);
 }
 
@@ -400,8 +402,9 @@ sim::Task<Result<ErasureEngine::AnyK>> ErasureEngine::fetch_any_k(
   // T_check (Equation 4).
   auto st = std::make_shared<FetchState>(sim(), n);
   bool down = false;
+  const kv::HashRing::Placement place = ring().placement(skey);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    st->owner[slot] = ring().slot_index(skey, slot);
+    st->owner[slot] = place.slot(slot);
     if (membership().up(st->owner[slot])) {
       st->available[slot] = true;
     } else {
@@ -657,8 +660,9 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
 sim::Task<void> ErasureEngine::unlink_locator(
     kv::Key key, std::vector<sim::Future<kv::Response>>* out) {
   const std::size_t m = codec_->m();
+  const kv::HashRing::Placement place = ring().placement(key);
   for (std::size_t j = 0; j <= m; ++j) {
-    const std::size_t owner = ring().slot_index(key, j);
+    const std::size_t owner = place.slot(j);
     if (!membership().up(owner)) continue;
     kv::Request req;
     req.verb = kv::Verb::kDelete;
@@ -827,9 +831,10 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // set — one RPC per owner for the whole stripe.
   std::vector<sim::Future<kv::Response>> dir_pending;
   if (!live.empty()) {
-    const kv::Key& anchor = st->records.front().key;
+    const kv::HashRing::Placement place =
+        self->ring().placement(st->records.front().key);
     for (std::size_t j = 0; j <= m; ++j) {
-      const std::size_t owner = self->ring().slot_index(anchor, j);
+      const std::size_t owner = place.slot(j);
       if (!self->membership().up(owner)) continue;
       kv::Request req;
       req.verb = kv::Verb::kSetStripeIndex;
@@ -898,8 +903,9 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   // install while it was down.
   std::vector<sim::Future<kv::Response>> lookups;
   std::vector<std::size_t> lookup_owners;
+  const kv::HashRing::Placement place = ring().placement(key);
   for (std::size_t j = 0; j <= m; ++j) {
-    const std::size_t owner = ring().slot_index(key, j);
+    const std::size_t owner = place.slot(j);
     if (!membership().up(owner)) {
       degraded = true;
       continue;
@@ -963,8 +969,9 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   // Healthy path: fetch only the whole data fragments covering the
   // sub-slot range (usually one, at most two for threshold-sized values).
   bool healthy = true;
+  const kv::HashRing::Placement stripe_place = ring().placement(loc->stripe);
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    if (!membership().up(ring().slot_index(loc->stripe, slot))) {
+    if (!membership().up(stripe_place.slot(slot))) {
       healthy = false;
       break;
     }

@@ -14,6 +14,11 @@
 // order: a heap event due at now() was scheduled before the clock reached
 // now(), so its sequence number is lower than that of every ready-lane
 // event, all of which were scheduled at now().
+//
+// An event is an Action: a plain function pointer and its argument.
+// Resuming a coroutine is one kind of action; the fabric's message
+// delivery record schedules its own two actions, with no coroutine frame
+// in between.
 #pragma once
 
 #include <cassert>
@@ -28,6 +33,12 @@
 #include "sim/task.h"
 
 namespace hpres::sim {
+
+/// One scheduled event: `fn(arg)`.
+struct Action {
+  void (*fn)(void*);
+  void* arg;
+};
 
 class Simulator {
  public:
@@ -52,18 +63,24 @@ class Simulator {
   /// before the receiver's clock — and asserts in debug builds; release
   /// builds keep the historical clamp-to-now behaviour.
   void schedule(std::coroutine_handle<> h, SimDur delay = 0) {
+    schedule_action(Action{&resume_handle, h.address()}, delay);
+  }
+
+  /// Schedules `action` to run after `delay` (>= 0) simulated nanoseconds,
+  /// in the same (time, sequence) order as coroutine resumptions.
+  void schedule_action(Action action, SimDur delay = 0) {
     assert(delay >= 0 && "negative schedule() delay (stale timestamp?)");
     if (delay <= 0) {
-      ready_.push_back(h);
+      ready_.push_back(action);
     } else {
-      heap_.push(Scheduled{now_ + delay, next_seq_++, h});
+      heap_.push(Scheduled{now_ + delay, next_seq_++, action});
     }
   }
 
   /// Starts a detached process. The process begins at the current simulated
-  /// time once the event loop runs; its frame is destroyed on completion.
-  /// A process must run to completion before the Simulator is destroyed
-  /// (drain with run()).
+  /// time once the event loop runs; its own frame is the scheduled event
+  /// and frees itself on completion. A process must run to completion
+  /// before the Simulator is destroyed (drain with run()).
   void spawn(Task<void> task);
 
   /// Starts a detached process at absolute simulated time `at` (>= now).
@@ -121,10 +138,14 @@ class Simulator {
   /// it and resumes it. Requires !idle().
   void run_next();
 
+  static void resume_handle(void* address) {
+    std::coroutine_handle<>::from_address(address).resume();
+  }
+
   struct Scheduled {
     SimTime at;
     std::uint64_t seq;
-    std::coroutine_handle<> handle;
+    Action action;
 
     // std::priority_queue is a max-heap; invert for earliest-first.
     friend bool operator<(const Scheduled& a, const Scheduled& b) noexcept {
@@ -134,7 +155,7 @@ class Simulator {
   };
 
   std::priority_queue<Scheduled> heap_;          // delay > 0
-  std::vector<std::coroutine_handle<>> ready_;  // delay <= 0, due at now_
+  std::vector<Action> ready_;                   // delay <= 0, due at now_
   std::size_t ready_head_ = 0;                  // next ready_ entry to run
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -18,7 +18,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -194,7 +193,9 @@ class Event {
 };
 
 /// Unbounded FIFO channel. Multiple producers and consumers are supported;
-/// `recv()` returns nullopt once the channel is closed and drained.
+/// `recv()` returns nullopt once the channel is closed and drained. Items
+/// sit in a power-of-two ring that only grows, so a steady stream of
+/// messages through a node's inbox allocates nothing.
 template <typename T>
 class Channel {
  public:
@@ -206,7 +207,9 @@ class Channel {
   /// (the peer has gone away — mirrors writing to a dead connection).
   void send(T item) {
     if (closed_) return;
-    items_.push_back(std::move(item));
+    if (count_ == ring_.size()) grow();
+    ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(item);
+    ++count_;
     waiters_.wake_one(*sim_);
   }
 
@@ -218,16 +221,12 @@ class Channel {
   }
 
   [[nodiscard]] bool closed() const noexcept { return closed_; }
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
   /// Receives the next item, suspending while the channel is empty and open.
   Task<std::optional<T>> recv() {
     for (;;) {
-      if (!items_.empty()) {
-        T item = std::move(items_.front());
-        items_.pop_front();
-        co_return std::optional<T>{std::move(item)};
-      }
+      if (count_ > 0) co_return std::optional<T>{pop_front()};
       if (closed_) co_return std::nullopt;
       co_await detail::ParkAwaiter{&waiters_};
     }
@@ -235,15 +234,31 @@ class Channel {
 
   /// Non-suspending receive; nullopt when empty.
   std::optional<T> try_recv() {
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    if (count_ == 0) return std::nullopt;
+    return pop_front();
   }
 
  private:
+  T pop_front() {
+    T item = std::move(ring_[head_]);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    return item;
+  }
+
+  void grow() {
+    std::vector<T> bigger(ring_.empty() ? 8 : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i) {
+      bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+
   Simulator* sim_;
-  std::deque<T> items_;
+  std::vector<T> ring_;  ///< size is zero or a power of two
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   detail::WaitQueue waiters_;
   bool closed_ = false;
 };

@@ -1,10 +1,12 @@
 // Coroutine task type for the discrete-event simulator.
 //
 // `Task<T>` is a lazy coroutine: it does not run until awaited (or handed to
-// `Simulator::spawn`). Awaiting a Task transfers control symmetrically into
-// the child and resumes the parent when the child finishes — no simulated
-// time passes across a plain Task boundary; time only advances through the
-// Simulator's awaitables (delay, channels, resources).
+// `Simulator::spawn`, which detaches it: the frame itself is the scheduled
+// event and frees itself at final suspend). Awaiting a Task transfers
+// control symmetrically into the child and resumes the parent when the
+// child finishes — no simulated time passes across a plain Task boundary;
+// time only advances through the Simulator's awaitables (delay, channels,
+// resources).
 //
 // Lifetime rules (C++ Core Guidelines CP.51/CP.53 apply throughout this
 // project): coroutines are functions or member functions, never capturing
@@ -220,11 +222,6 @@ class [[nodiscard]] Task {
     return Awaiter{handle_};
   }
 
-  /// Internal: release ownership of the frame (used by Simulator::spawn).
-  std::coroutine_handle<promise_type> release() noexcept {
-    return std::exchange(handle_, {});
-  }
-
  private:
   explicit Task(std::coroutine_handle<promise_type> h) noexcept : handle_(h) {}
 
@@ -243,11 +240,35 @@ template <>
 class [[nodiscard]] Task<void> {
  public:
   struct promise_type : detail::PromiseBase {
+    bool detached = false;  ///< spawned: no owner, the frame frees itself
+
     Task get_return_object() noexcept {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    detail::FinalAwaiter<promise_type> final_suspend() noexcept { return {}; }
+    auto final_suspend() noexcept {
+      struct Awaiter {
+        [[nodiscard]] bool await_ready() const noexcept { return false; }
+        std::coroutine_handle<> await_suspend(
+            std::coroutine_handle<promise_type> h) noexcept {
+          promise_type& p = h.promise();
+          if (p.detached) {
+            h.destroy();
+            return std::noop_coroutine();
+          }
+          if (p.continuation) return p.continuation;
+          return std::noop_coroutine();
+        }
+        void await_resume() const noexcept {}
+      };
+      return Awaiter{};
+    }
     void return_void() noexcept {}
+    void unhandled_exception() noexcept {
+      // A detached simulation process has no awaiter to receive the
+      // exception; escaping one is always a bug in the process itself.
+      if (detached) std::terminate();
+      exception = std::current_exception();
+    }
   };
 
   Task() noexcept = default;
@@ -290,7 +311,10 @@ class [[nodiscard]] Task<void> {
     return Awaiter{handle_};
   }
 
-  std::coroutine_handle<promise_type> release() noexcept {
+  /// Internal (Simulator::spawn): gives up ownership of the frame, which
+  /// from now on frees itself when the process finishes.
+  std::coroutine_handle<> detach() noexcept {
+    handle_.promise().detached = true;
     return std::exchange(handle_, {});
   }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -421,6 +422,75 @@ TEST(SimulatorOrder, DueHeapEventPrecedesReadyLane) {
   sim.run();
   EXPECT_EQ(log,
             (std::vector<std::string>{"heap@10", "lane@10", "heap@11"}));
+}
+
+// Plain actions and coroutine resumptions share one (time, seq) order: at
+// one instant the ready lane runs FIFO, and heap events due at the same
+// time run in scheduling order whatever their kind.
+struct Mark {
+  std::vector<int>* log;
+  int tag;
+};
+
+void mark(void* arg) {
+  const auto* m = static_cast<const Mark*>(arg);
+  m->log->push_back(m->tag);
+}
+
+Task<void> mark_after(Simulator* sim, SimDur d, std::vector<int>* log,
+                      int tag) {
+  co_await sim->delay(d);
+  log->push_back(tag);
+}
+
+TEST(SimulatorOrder, ActionsAndResumptionsShareOneOrder) {
+  Simulator sim;
+  std::vector<int> log;
+  Mark m2{&log, 2};
+  Mark m3{&log, 3};
+  Mark m5{&log, 5};
+  sim.spawn(mark_after(&sim, 5, &log, 1));        // lane; resumes at 5 (3rd)
+  sim.schedule_action(Action{&mark, &m2}, 5);     // heap @5 (1st)
+  sim.schedule_action(Action{&mark, &m3}, 0);     // lane
+  sim.spawn(mark_after(&sim, 0, &log, 4));        // lane, then lane again
+  sim.schedule_action(Action{&mark, &m5}, 5);     // heap @5 (2nd)
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{3, 4, 2, 5, 1}));
+  EXPECT_EQ(sim.now(), 5);
+  // Two spawn starts, one zero-delay resume, three actions, one resume @5.
+  EXPECT_EQ(sim.events_executed(), 7u);
+}
+
+// A spawned process is its own event: spawning builds no wrapper frame,
+// and finishing returns exactly the process's frame to the recycler.
+Task<void> padded_process(Simulator* sim, int* out) {
+  std::array<int, 300> pad{};  // lives across the suspension: in the frame
+  pad[static_cast<std::size_t>(*out) % pad.size()] = 7;
+  co_await sim->delay(1);
+  *out += pad[static_cast<std::size_t>(*out) % pad.size()];
+}
+
+std::size_t cached_frames_total() {
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < detail::kFrameClasses; ++c) {
+    total += detail::cached_frames((c + 1) * detail::kFrameGranule);
+  }
+  return total;
+}
+
+TEST(Simulator, FinishedSpawnReturnsExactlyItsOwnFrame) {
+  if (!detail::kFrameRecycling) GTEST_SKIP() << "recycler compiled out";
+  Simulator sim;
+  int value = 0;
+  sim.spawn(padded_process(&sim, &value));  // warms the event queues
+  sim.run();
+  Task<void> task = padded_process(&sim, &value);
+  const std::size_t before = cached_frames_total();
+  sim.spawn(std::move(task));
+  EXPECT_EQ(cached_frames_total(), before);
+  sim.run();
+  EXPECT_EQ(value, 14);
+  EXPECT_EQ(cached_frames_total(), before + 1);
 }
 
 }  // namespace

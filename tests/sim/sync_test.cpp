@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <optional>
 #include <vector>
 
 namespace hpres::sim {
@@ -90,6 +91,29 @@ TEST(Channel, BufferedItemsSurviveUntilReceived) {
   sim.spawn(drain(&ch, &out));
   sim.run();
   EXPECT_EQ(out, (std::vector<int>{7, 8}));
+}
+
+// The ring grows while its contents wrap around the end and keeps FIFO
+// order across the growth.
+TEST(Channel, FifoAcrossRingWrapAndGrowth) {
+  Simulator sim;
+  Channel<int> ch(sim);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + 3 * round; ++i) ch.send(next_in++);
+    for (int i = 0; i < 4 + 2 * round; ++i) {
+      const std::optional<int> got = ch.try_recv();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, next_out++);
+    }
+    EXPECT_EQ(ch.size(), static_cast<std::size_t>(next_in - next_out));
+  }
+  while (const std::optional<int> got = ch.try_recv()) {
+    EXPECT_EQ(*got, next_out++);
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(ch.size(), 0u);
 }
 
 TEST(Channel, CloseReleasesBlockedReceiver) {
